@@ -28,6 +28,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.contracts import maintainer_contract, pure_unless_cloned
+from repro.core.maintainer import DeletableModelMaintainer
 
 #: Label of unclustered points.
 NOISE = -1
@@ -441,12 +442,11 @@ class DBSCANModel:
 
 
 @maintainer_contract
-class IncrementalDBSCANMaintainer:
+class IncrementalDBSCANMaintainer(DeletableModelMaintainer[DBSCANModel, Point]):
     """Block-level ``A_M`` over incremental DBSCAN (supports deletion).
 
-    Satisfies :class:`~repro.core.maintainer.DeletableModelMaintainer`
-    structurally; deletion removes every point the block contributed —
-    the expensive direction, per §3.2.4.
+    Deletion removes every point the block contributed — the expensive
+    direction, per §3.2.4.
     """
 
     def __init__(self, eps: float, min_pts: int, dim: int):

@@ -13,10 +13,14 @@ keeps one model for the overlapping prefix of each of the ``w - 1``
 * a fresh model covering only ``D_{t+1}`` joins as the prefix of the
   farthest future window.
 
-The only *time-critical* update is the one that yields the new current
-model — the rest can happen off-line (§3.2.3) — so :meth:`GEMM.observe`
-reports which updates were on the critical path and how many ``A_M``
-invocations each category cost.
+Blocks arrive one at a time or, under a deferring maintenance
+scheduler, as a run.  Either way there is one update path: a run is
+planned slide by slide, and only the models the final slot table holds
+are realized (:meth:`GEMM.observe_run`); one arrival is a run of one
+block (:meth:`GEMM.observe`).  The only *time-critical* update is the
+one that yields the new current model — the rest can happen off-line
+(§3.2.3) — so every report says which ``A_M`` invocations were on the
+critical path and which were off-line.
 
 Deduplication: models whose effective selected-block sets coincide are
 stored once (the paper notes the actual number of distinct models may
@@ -27,8 +31,8 @@ shared a model diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generic, Sequence, TypeVar, cast
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Container, Generic, Sequence, TypeVar, cast
 
 from repro.core.blocks import Block
 from repro.core.bss import WindowIndependentBSS, WindowRelativeBSS
@@ -62,14 +66,13 @@ GEMM_SPILL_NAMESPACE = register_vault_namespace("gemm-spill")
 
 @dataclass
 class GEMMUpdateReport:
-    """Accounting for one :meth:`GEMM.observe` call.
+    """Accounting for one :meth:`GEMM.observe_run` call.
 
     Attributes:
-        t: Identifier of the block that was just added.
+        t: Identifier of the last block of the run.
         critical_invocations: ``A_M`` invocations on the response-time
             critical path (producing the new current model); 0 or 1
-            per :meth:`GEMM.observe`, up to the run length for a
-            batched :meth:`GEMM.observe_run` catch-up.
+            for a one-block run, up to the run length otherwise.
         offline_invocations: ``A_M`` invocations that can run off-line.
         distinct_models: Number of distinct models stored after the
             update (≤ w thanks to deduplication).
@@ -83,15 +86,6 @@ class GEMMUpdateReport:
     distinct_models: int = 0
     critical_seconds: float = 0.0
     offline_seconds: float = 0.0
-
-
-@dataclass
-class _SlotPlan:
-    """Where new slot k's model comes from during one window slide."""
-
-    source_key: ModelKey
-    extend: bool  # whether the new block is selected into this slot
-    new_key: ModelKey = field(default=EMPTY_KEY)
 
 
 class GEMM(Generic[TModel, T]):
@@ -152,9 +146,9 @@ class GEMM(Generic[TModel, T]):
     def bind_pool(self, pool: "WorkerPool | None") -> None:
         """Attach a worker pool for §3.2.3's off-line updates.
 
-        With more than one worker, :meth:`observe` fans the off-line
-        slot updates out across processes (each slot's ``A_M``
-        invocation is independent given the shared new block) and
+        With more than one worker, :meth:`observe_run` fans the
+        off-line slots' chains out across processes (each final slot's
+        chain is independent once shared ancestors are realized) and
         adopts the returned model pickles byte-for-byte.  The critical
         update always runs in-process — it is the response-time path.
         ``None`` detaches.  The pool is deliberately not part of
@@ -231,51 +225,8 @@ class GEMM(Generic[TModel, T]):
         return self.bss.selects(position)
 
     def observe(self, block: Block[T]) -> GEMMUpdateReport:
-        """Process the arrival of the next block (Algorithm 3.1).
-
-        Returns a :class:`GEMMUpdateReport`; the new current model is
-        available via :meth:`current_model` immediately afterwards.
-        """
-        expected = self._t + 1
-        if block.block_id != expected:
-            raise ValueError(
-                f"systematic evolution requires block id {expected}, "
-                f"got {block.block_id}"
-            )
-        new_t = block.block_id
-        sliding = self._t >= self.w  # window slides only once it is full
-        # Window start used for position arithmetic is that of the *new*
-        # snapshot (the windows the slots will describe after this step).
-        new_window_start = max(1, new_t - self.w + 1)
-
-        plans = self._plan_slots(block, sliding, new_window_start)
-        report = GEMMUpdateReport(t=new_t)
-        new_models: dict[ModelKey, TModel] = {EMPTY_KEY: self._models[EMPTY_KEY]}
-
-        # Execute the time-critical update (new slot 0) first, then the
-        # off-line ones, metering each category separately (§3.2.3).
-        with self.telemetry.phase("gemm.critical") as critical_span:
-            invocations = self._realize(plans[0], block, new_models)
-        report.critical_seconds = critical_span.seconds
-        report.critical_invocations = invocations
-        self.telemetry.increment("gemm.invocations.critical", invocations)
-
-        with self.telemetry.phase("gemm.offline") as offline_span:
-            if self._pool is not None and self._pool.workers > 1:
-                report.offline_invocations = self._realize_offline_parallel(
-                    plans[1:], block, new_models
-                )
-            else:
-                for plan in plans[1:]:
-                    report.offline_invocations += self._realize(
-                        plan, block, new_models
-                    )
-        report.offline_seconds = offline_span.seconds
-        self.telemetry.increment("gemm.invocations.offline", report.offline_invocations)
-
-        self._commit(new_t, [plan.new_key for plan in plans], new_models)
-        report.distinct_models = self.distinct_model_count()
-        return report
+        """Process the arrival of the next block: a one-block run."""
+        return self.observe_run([block])
 
     def _commit(
         self,
@@ -285,10 +236,9 @@ class GEMM(Generic[TModel, T]):
     ) -> None:
         """Install a fully-materialized new slot table atomically.
 
-        Shared by the per-block :meth:`observe` and the batched
-        :meth:`observe_run`; nothing before this point mutates the slot
-        table or clock, so a failed update leaves the collection on the
-        previous snapshot (DML018).
+        Nothing before this point mutates the slot table or clock, so a
+        failed update leaves the collection on the previous snapshot
+        (DML018).
         """
         self._t = new_t
         self._slots = new_slots
@@ -307,42 +257,36 @@ class GEMM(Generic[TModel, T]):
             self._spilled = spilled
             self._models = {key: new_models[key] for key in memory_keys}
 
-    # ------------------------------------------------------------------
-    # Batched catch-up (the scheduling layer's deferred-maintenance path)
-    # ------------------------------------------------------------------
-
     def observe_run(self, blocks: "Sequence[Block[T]]") -> GEMMUpdateReport:
-        """Catch up over a deferred run of blocks in one batched slide.
+        """Slide the window over a run of arriving blocks (Algorithm 3.1).
 
-        Byte-identity with per-block :meth:`observe` calls: every model
-        in the final collection is the product of exactly the
-        ``build``/``add_block`` chain the eager path would have used
-        for that key (a key's chain is a pure function of the BSS and
-        the block ids, independent of *when* it runs).  What the batch
-        saves is the **retired intermediates**: models the eager path
-        materializes for windows that slide entirely past within the
-        run are planned here but never realized — that skipped ``A_M``
-        work is where the deferred-maintenance savings come from.
+        The slot table is planned slide by slide across the whole run,
+        recording each new key's parentage (source key + the block it
+        was extended with); then only the final table's models are
+        realized, each by replaying its ``build``/``add_block`` chain.
+        A key's chain is a pure function of the BSS and the block ids,
+        so the final collection is byte-identical however the stream
+        was cut into runs.  What a longer run saves is the **retired
+        intermediates**: models for windows that slide entirely past
+        within the run are planned but never realized — the deferred-
+        maintenance savings.  A one-block run realizes every slot.
 
-        The critical phase covers the new current model's chain (it is
-        the longest, so its in-process materialization also registers
-        every selected pending block with the maintainer's storage
-        context); the remaining final slots' chains are off-line work
-        and fan out across the bound worker pool when one is attached.
+        The critical phase registers every block of the run with the
+        maintainer's storage context, in arrival order, then realizes
+        the new current model's chain; the remaining final slots'
+        chains are off-line work and fan out across the bound worker
+        pool when one is attached.  Registering every block — even one
+        no final model selects — is what lets the expiry path re-encode
+        its TID-lists and keeps its data reachable in the backends'
+        weak indices.
 
-        Pending blocks that no final model selects (expired within the
-        run, or masked by a 0-bit) are never fed to ``A_M`` at all —
-        but every block is still registered with the maintainer's
-        storage context in arrival order, so block stores, TID-lists,
-        and their tier bookkeeping end up identical to an eager run's.
+        Returns a :class:`GEMMUpdateReport`; the new current model is
+        available via :meth:`current_model` immediately afterwards.
         """
         if not blocks:
             return GEMMUpdateReport(
                 t=self._t, distinct_models=self.distinct_model_count()
             )
-        # --- plan: simulate the slot table across the whole run, and
-        # record each fresh key's parentage (source key + the block it
-        # was extended with) so final models can be chained backwards.
         parents: dict[ModelKey, tuple[ModelKey, Block[T]]] = {}
         slots = list(self._slots)
         t = self._t
@@ -353,16 +297,21 @@ class GEMM(Generic[TModel, T]):
                     f"systematic evolution requires block id {expected}, "
                     f"got {block.block_id}"
                 )
-            sliding = t >= self.w
+            sliding = t >= self.w  # window slides only once it is full
+            # Position arithmetic uses the window start of the *new*
+            # snapshot (the windows the slots describe after this step).
             new_window_start = max(1, block.block_id - self.w + 1)
             new_slots = []
             for k in range(self.w):
                 if sliding:
+                    # New slot k descends from old slot k+1; the last
+                    # slot is the fresh model covering only the block.
                     source = slots[k + 1] if k + 1 < self.w else EMPTY_KEY
                 else:
+                    # Warm-up: the window grows instead of sliding, so
+                    # slots keep their index and are extended in place.
                     source = slots[k]
-                future_start = new_window_start + k
-                covers = future_start <= block.block_id
+                covers = new_window_start + k <= block.block_id
                 extend = covers and self._bit_for_slot(
                     k, block.block_id, new_window_start
                 )
@@ -373,24 +322,16 @@ class GEMM(Generic[TModel, T]):
             slots = new_slots
             t = block.block_id
 
-        # Eager maintenance registers every arriving block (its TID-lists
-        # are built when A_M first counts over it).  The batch must match
-        # that even for blocks whose windows slide entirely past within
-        # the run: registration is what lets the expiry path re-encode a
-        # skipped block's TID-lists, and what keeps its data reachable in
-        # the backends' weak indices.  Arrival order, after the whole run
-        # validated — a rejected id mutates nothing (DML018).
-        register = getattr(self.maintainer, "register_block", None)
-        if callable(register):
-            for block in blocks:
-                register(block)
-
         report = GEMMUpdateReport(t=t)
         # Chain materialization memo; ancestors realized for one final
         # slot are shared (cloned at use) by every chain through them.
         realized: dict[ModelKey, TModel] = {}
 
         with self.telemetry.phase("gemm.critical") as critical_span:
+            # After the whole run validated: a rejected id mutates
+            # nothing (DML018).
+            for block in blocks:
+                self.maintainer.register_block(block)
             report.critical_invocations = self._materialize_chain(
                 slots[0], parents, realized
             )
@@ -419,8 +360,8 @@ class GEMM(Generic[TModel, T]):
         }
         for key in slots:
             if key not in new_models:
-                # Carried-over keys (no chain) load from the existing
-                # collection — same object sharing as eager carry-over.
+                # Carried-over keys (no chain) share the existing model
+                # object, or revive a private copy from the vault.
                 new_models[key] = (
                     realized[key] if key in realized else self._load(key)
                 )
@@ -432,7 +373,7 @@ class GEMM(Generic[TModel, T]):
         self,
         key: ModelKey,
         parents: dict[ModelKey, tuple[ModelKey, Block[T]]],
-        realized: dict[ModelKey, TModel],
+        realized: Container[ModelKey],
     ) -> list[ModelKey]:
         """``key``'s not-yet-realized ancestry, deepest ancestor first.
 
@@ -461,162 +402,18 @@ class GEMM(Generic[TModel, T]):
                 realized[step] = self.maintainer.build([block])
             else:
                 if source_key in realized:
-                    # A realized ancestor may feed several chains (and
-                    # may itself be a final slot): clone before the
-                    # possibly-mutating update, exactly as the eager
-                    # path clones in-memory sources.
-                    source = self.maintainer.clone(realized[source_key])
+                    source = realized[source_key]
                 else:
                     source = self._load(source_key)
-                    if source_key in self._models:
-                        source = self.maintainer.clone(source)
+                if source_key in realized or source_key in self._models:
+                    # In-memory models may feed several chains (and may
+                    # themselves be final slots): clone before the
+                    # possibly-mutating update.  Vault fetches are
+                    # already private copies.
+                    source = self.maintainer.clone(source)
                 realized[step] = self.maintainer.add_block(source, block)
             invocations += 1
         return invocations
-
-    def _offline_chains_parallel(
-        self,
-        slots: list[ModelKey],
-        parents: dict[ModelKey, tuple[ModelKey, Block[T]]],
-        realized: dict[ModelKey, TModel],
-    ) -> int:
-        """Fan the off-line final chains out to the worker pool.
-
-        Each worker task replays one final slot's whole chain (source
-        model pickle + the pending-block refs to add, in order) and
-        returns the final model's pickle, adopted verbatim.  Ancestors
-        shared by more than one outstanding chain are materialized
-        in-process first so no ``A_M`` invocation runs twice; blocks a
-        worker will add are registered with the parent-side maintainer
-        (idempotently, like the eager parallel path) so later in-process
-        updates can count over them.
-        """
-        from repro.parallel.shards import block_ref, maintain_chain_shard
-
-        pool = self._pool
-        assert pool is not None
-        token = self._worker_token()
-        invocations = 0
-        queued: list[ModelKey] = []
-        for key in slots[1:]:
-            if key in realized or key not in parents or key in queued:
-                continue
-            queued.append(key)
-        if token is None or not queued:
-            for key in slots[1:]:
-                invocations += self._materialize_chain(key, parents, realized)
-            return invocations
-        # Ancestors appearing in more than one chain — including a
-        # queued final sitting on another final's chain — are realized
-        # in-process so workers never duplicate an invocation.
-        uses: dict[ModelKey, int] = {}
-        for key in queued:
-            for step in self._unrealized_chain(key, parents, realized):
-                uses[step] = uses.get(step, 0) + 1
-        shared = [
-            step
-            for step, count in sorted(uses.items(), key=lambda item: len(item[0]))
-            if count > 1
-        ]
-        for step in shared:
-            invocations += self._materialize_chain(step, parents, realized)
-        chains = {
-            key: self._unrealized_chain(key, parents, realized)
-            for key in queued
-            if key not in realized
-        }
-        payloads = []
-        shipped: list[tuple[ModelKey, int]] = []
-        serial: list[ModelKey] = []
-        register = getattr(self.maintainer, "register_block", None)
-        for key, chain in chains.items():
-            root_source = parents[chain[0]][0]
-            history: tuple[Any, ...] = ()
-            if token[0] == "spec":
-                refs = self._history_refs(root_source)
-                if refs is None:
-                    # Source blocks unavailable (e.g. right after a
-                    # restore): this chain cannot feed a replica.
-                    serial.append(key)
-                    continue
-                history = tuple(refs)
-            if root_source == EMPTY_KEY:
-                source_blob = None
-            elif root_source in realized:
-                source_blob = save_model(realized[root_source])
-            else:
-                source_blob = save_model(self._load(root_source))
-            new_refs = tuple(block_ref(parents[step][1]) for step in chain)
-            if callable(register):
-                for step in chain:
-                    register(parents[step][1])
-            payloads.append((token, source_blob, new_refs, history))
-            shipped.append((key, len(chain)))
-        for key in serial:
-            invocations += self._materialize_chain(key, parents, realized)
-        if not payloads:
-            return invocations
-        results = pool.run(maintain_chain_shard, payloads)
-        diagnostics = getattr(self.maintainer, "diagnostics", None)
-        for (key, chain_len), (blob, diag_entries) in zip(shipped, results):
-            realized[key] = cast("TModel", load_model(blob))
-            invocations += chain_len
-            if diagnostics is not None:
-                for channel, entry in diag_entries.items():
-                    diagnostics.record(channel, entry)
-        return invocations
-
-    def _plan_slots(
-        self, block: Block[T], sliding: bool, new_window_start: int
-    ) -> list[_SlotPlan]:
-        """Decide, per new slot, its source model and whether to extend it."""
-        new_id = block.block_id
-        plans: list[_SlotPlan] = []
-        for k in range(self.w):
-            if sliding:
-                # New slot k descends from old slot k+1; the last slot is
-                # the fresh model covering only the new block.
-                source = self._slots[k + 1] if k + 1 < self.w else EMPTY_KEY
-            else:
-                # Warm-up: the window grows instead of sliding, so slots
-                # keep their index and are extended in place.
-                source = self._slots[k]
-            future_start = new_window_start + k
-            covers_new_block = future_start <= new_id
-            extend = covers_new_block and self._bit_for_slot(k, new_id, new_window_start)
-            new_key = source | {new_id} if extend else source
-            plans.append(_SlotPlan(source_key=source, extend=extend, new_key=new_key))
-        return plans
-
-    def _realize(
-        self,
-        plan: _SlotPlan,
-        block: Block[T],
-        new_models: dict[ModelKey, TModel],
-    ) -> int:
-        """Materialize one slot plan into ``new_models``.
-
-        Returns the number of ``A_M`` invocations performed (0 when the
-        model carries over or was already built for an identical key).
-        """
-        if plan.new_key in new_models:
-            return 0
-        if not plan.extend:
-            # Unchanged model: share the existing object (or revive it
-            # from the vault — the copy is private by construction).
-            new_models[plan.new_key] = self._load(plan.source_key)
-            return 0
-        if plan.source_key == EMPTY_KEY:
-            new_models[plan.new_key] = self.maintainer.build([block])
-            return 1
-        source = self._load(plan.source_key)
-        if plan.source_key in self._models:
-            # In-memory models may feed several slots; clone before the
-            # (possibly mutating) update.  Vault fetches are already
-            # private copies.
-            source = self.maintainer.clone(source)
-        new_models[plan.new_key] = self.maintainer.add_block(source, block)
-        return 1
 
     # ------------------------------------------------------------------
     # Parallel off-line updates (repro.parallel)
@@ -629,7 +426,7 @@ class GEMM(Generic[TModel, T]):
         (workers rebuild and cache a replica, registering history
         blocks zero-copy from their refs); anything else ships its full
         pickle.  ``None`` — e.g. an unpicklable test double — keeps the
-        observe serial.
+        run serial.
         """
         payload_fn = getattr(self.maintainer, "worker_payload", None)
         if callable(payload_fn):
@@ -648,99 +445,113 @@ class GEMM(Generic[TModel, T]):
             return None
         return cast("list[Any] | None", refs_fn(sorted(source_key)))
 
-    def _realize_offline_parallel(
+    def _offline_chains_parallel(
         self,
-        plans: list[_SlotPlan],
-        block: Block[T],
-        new_models: dict[ModelKey, TModel],
+        slots: list[ModelKey],
+        parents: dict[ModelKey, tuple[ModelKey, Block[T]]],
+        realized: dict[ModelKey, TModel],
     ) -> int:
-        """Fan the off-line slot updates out to the worker pool.
+        """Fan the off-line final chains out to the worker pool.
 
-        Carry-over plans (no ``A_M`` invocation) are realized inline;
-        each extending plan becomes one worker task shipping the
-        maintainer token, the pickled source model, and block refs.
-        Workers return model pickles that are adopted verbatim, so the
-        resulting collection is byte-identical to the serial loop's.
+        Each worker task replays one final slot's whole chain (source
+        model pickle + the block refs to add, in order) and returns the
+        final model's pickle, adopted verbatim, so the collection is
+        byte-identical to the serial loop's.
 
-        Parent-side state that the serial loop would have touched is
-        mirrored exactly once: the first invoking plan's block
-        registration (TID-lists, block store, and — for ECUT+ — pair
-        materialization) happens here with the same model argument the
-        serial ``A_M`` call would have used, and each task's changed
-        diagnostics entries are re-recorded in plan order.
-
-        Returns the off-line ``A_M`` invocation count (equal to the
-        serial loop's by construction).
+        Parent-side state the serial loop would have touched is
+        mirrored exactly.  A block's first ``A_M`` call registers it
+        with that call's model (for ECUT+, the model whose frequent
+        pairs are materialized for the block), so every off-line step
+        up to the last one that is the first call on its block runs
+        in-process, in serial order; with a window-independent BSS the
+        critical chain already made every first call and nothing runs
+        here.  Ancestors shared by more than one outstanding chain are
+        also realized in-process, so no ``A_M`` invocation runs twice.
+        Each task's changed diagnostics entries are re-recorded in slot
+        order.  Returns the off-line ``A_M`` invocation count (equal to
+        the serial loop's by construction).
         """
-        from repro.parallel.shards import block_ref, maintain_shard
+        from repro.parallel.shards import block_ref, maintain_chain_shard
 
         pool = self._pool
         assert pool is not None
         token = self._worker_token()
-        pending: dict[ModelKey, _SlotPlan] = {}
-        history: dict[ModelKey, tuple[Any, ...]] = {}
         invocations = 0
-        if token is not None:
-            for plan in plans:
-                if plan.new_key in new_models or plan.new_key in pending:
-                    continue
-                if not plan.extend:
-                    invocations += self._realize(plan, block, new_models)
-                    continue
-                if token[0] == "spec":
-                    refs = self._history_refs(plan.source_key)
-                    if refs is None:
-                        # Block handles unavailable (e.g. right after a
-                        # restore): replicas cannot be fed, go serial.
-                        token = None
-                        break
-                    history[plan.new_key] = tuple(refs)
-                pending[plan.new_key] = plan
         if token is None:
-            # Serial fallback; carry-overs realized above are skipped
-            # again by _realize's new_models guard, so nothing repeats.
-            for plan in plans:
-                invocations += self._realize(plan, block, new_models)
+            for key in slots[1:]:
+                invocations += self._materialize_chain(key, parents, realized)
             return invocations
-        if not pending:
-            return invocations
-        loaded: dict[ModelKey, TModel] = {}
-
-        def load_once(key: ModelKey) -> TModel:
-            if key not in loaded:
-                loaded[key] = self._load(key)
-            return loaded[key]
-
-        # Mirror the serial loop's first A_M-invoking registration of
-        # the new block (add_block registers with its incoming source
-        # model; build registers bare, then pairs use the built model).
-        register = getattr(self.maintainer, "register_block", None)
-        first_plan = next(iter(pending.values()))
-        first_builds = first_plan.source_key == EMPTY_KEY
-        if callable(register):
-            if first_builds:
-                register(block)
-            else:
-                register(block, model=load_once(first_plan.source_key))
-        new_ref = block_ref(block)
-        payloads = []
-        for key, plan in pending.items():
-            source_blob = (
-                None
-                if plan.source_key == EMPTY_KEY
-                else save_model(load_once(plan.source_key))
+        # The serial loop's off-line steps, in the order it runs them.
+        order: dict[ModelKey, None] = {}
+        for key in slots[1:]:
+            order.update(
+                dict.fromkeys(
+                    self._unrealized_chain(key, parents, realized.keys() | order)
+                )
             )
-            payloads.append((token, source_blob, new_ref, history.get(key, ())))
-        results = pool.run(maintain_shard, payloads)
+        used = {parents[step][1].block_id for step in realized}
+        first_calls = 0
+        for index, step in enumerate(order, start=1):
+            block_id = parents[step][1].block_id
+            if block_id not in used:
+                used.add(block_id)
+                first_calls = index
+        for step in list(order)[:first_calls]:
+            invocations += self._materialize_chain(step, parents, realized)
+        queued = [
+            key
+            for key in dict.fromkeys(slots[1:])
+            if key in parents and key not in realized
+        ]
+        # Ancestors appearing in more than one chain — including a
+        # queued final sitting on another final's chain — are realized
+        # in-process so workers never duplicate an invocation.
+        uses: dict[ModelKey, int] = {}
+        for key in queued:
+            for step in self._unrealized_chain(key, parents, realized):
+                uses[step] = uses.get(step, 0) + 1
+        shared = [
+            step
+            for step, count in sorted(uses.items(), key=lambda item: len(item[0]))
+            if count > 1
+        ]
+        for step in shared:
+            invocations += self._materialize_chain(step, parents, realized)
+        payloads = []
+        shipped: list[tuple[ModelKey, int]] = []
+        for key in queued:
+            chain = self._unrealized_chain(key, parents, realized)
+            if not chain:
+                continue
+            root_source = parents[chain[0]][0]
+            history: tuple[Any, ...] = ()
+            if token[0] == "spec":
+                refs = self._history_refs(root_source)
+                if refs is None:
+                    # Source blocks unavailable (e.g. right after a
+                    # restore): this chain cannot feed a replica.
+                    invocations += self._materialize_chain(key, parents, realized)
+                    continue
+                history = tuple(refs)
+            if root_source == EMPTY_KEY:
+                source_blob = None
+            elif root_source in realized:
+                source_blob = save_model(realized[root_source])
+            else:
+                source_blob = save_model(self._load(root_source))
+            new_refs = tuple(block_ref(parents[step][1]) for step in chain)
+            payloads.append((token, source_blob, new_refs, history))
+            shipped.append((key, len(chain)))
+        if not payloads:
+            return invocations
+        results = pool.run(maintain_chain_shard, payloads)
         diagnostics = getattr(self.maintainer, "diagnostics", None)
-        for (key, _plan), (blob, diag_entries) in zip(pending.items(), results):
-            new_models[key] = cast("TModel", load_model(blob))
-            invocations += 1
+        for (key, chain_len), (blob, diag_entries) in zip(shipped, results):
+            realized[key] = cast("TModel", load_model(blob))
+            invocations += chain_len
             if diagnostics is not None:
                 for channel, entry in diag_entries.items():
                     diagnostics.record(channel, entry)
-        if callable(register) and first_builds:
-            register(block, model=new_models[first_plan.new_key])
         return invocations
 
     # ------------------------------------------------------------------

@@ -10,10 +10,12 @@ window option.  ``A_M`` supports exactly two operations in the paper:
 :class:`IncrementalModelMaintainer` captures that contract plus the two
 bookkeeping operations a generic driver needs (``empty_model`` for a
 BSS that has selected nothing yet, and ``clone`` because GEMM evolves
-several divergent copies of the same model).  Model classes that are
-also maintainable under block *deletion* (§3.2.4) additionally
-implement :class:`DeletableModelMaintainer`, which enables the direct
-add+delete alternative ``A^u_M`` that the paper compares GEMM against.
+several divergent copies of the same model), plus a no-op
+``register_block`` hook that maintainers keeping block storage
+override.  Model classes that are also maintainable under block
+*deletion* (§3.2.4) additionally implement
+:class:`DeletableModelMaintainer`, which enables the direct add+delete
+alternative ``A^u_M`` that the paper compares GEMM against.
 """
 
 from __future__ import annotations
@@ -52,6 +54,15 @@ class IncrementalModelMaintainer(ABC, Generic[TModel, T]):
     @abstractmethod
     def clone(self, model: TModel) -> TModel:
         """An independent deep copy of ``model``."""
+
+    def register_block(self, block: Block[T], model: TModel | None = None) -> None:
+        """Record an arriving block with the maintainer's storage, if any.
+
+        GEMM registers every block of a run before any ``A_M`` call, so
+        a block no final model selects still reaches the storage
+        context.  ``model`` is the model the block's first ``A_M`` call
+        uses.  The default keeps no storage and does nothing.
+        """
 
 
 class DeletableModelMaintainer(IncrementalModelMaintainer[TModel, T]):

@@ -115,8 +115,10 @@ class MonitorReport:
             (0 when maintenance was deferred; under an eager policy
             always at least 1).
         pending: Blocks still awaiting maintenance after this arrival.
-        gemm: GEMM accounting when running under the MRW option (the
-            last catch-up's report; ``None`` while deferred).
+        gemm: GEMM accounting when running under the MRW option: the
+            report of this arrival's catch-up, one
+            :meth:`~repro.core.gemm.GEMM.observe_run` over every block
+            maintained (``None`` while deferred).
         patterns: Pattern-detection accounting when enabled.
         telemetry: This observation's slice of the unified spine —
             phase timings, counter events, and I/O deltas accumulated
@@ -424,50 +426,51 @@ class MiningSession(Generic[TModel, T]):
     def _drain_pending(self, report: MonitorReport | None) -> int:
         """Catch the engines up over the pending run, in order.
 
-        A GEMM-only session takes the batched
-        :meth:`~repro.core.gemm.GEMM.observe_run` path, which skips the
-        retired-intermediate models an eager replay would build (and
-        fans chains across the worker pool when one is bound).  Every
-        other configuration replays block by block; either way a block
-        leaves the queue only after every engine accepted it, so a
-        failed catch-up keeps the unprocessed tail pending and
-        retryable.  Expiry bookkeeping runs *after* maintenance — a
-        block still owed maintenance is never tiered down under it.
+        Each engine's own clock is its cursor into the run: GEMM
+        catches up with one :meth:`~repro.core.gemm.GEMM.observe_run`
+        over the blocks past its clock (which skips the retired
+        intermediate models a block-by-block replay would build), and
+        the UW driver and the pattern miner replay the blocks past
+        theirs.  A block leaves the queue once every engine's clock has
+        passed it, so a failed catch-up keeps exactly the unprocessed
+        tail pending and a retry feeds no engine a block twice.  Expiry
+        bookkeeping runs *after* the run — a block still owed
+        maintenance is never tiered down under it.
         """
-        maintained = 0
-        if (
-            isinstance(self._engine, GEMM)
-            and self.pattern_miner is None
-            and len(self._pending) > 1
-        ):
-            run = list(self._pending)
-            gemm_report = self._engine.observe_run(run)
-            if report is not None:
-                report.gemm = gemm_report
-            self._pending.clear()
-            for block in run:
-                self._expire_cold(block.block_id)
-            return len(run)
-        while self._pending:
-            block = self._pending[0]
+        run = list(self._pending)
+        try:
             if isinstance(self._engine, GEMM):
-                gemm_report = self._engine.observe(block)
-                if report is not None:
-                    report.gemm = gemm_report
+                t = self._engine.t
+                behind = [block for block in run if block.block_id > t]
+                if behind:
+                    gemm_report = self._engine.observe_run(behind)
+                    if report is not None:
+                        report.gemm = gemm_report
             elif self._engine is not None:
-                self._engine.observe(block)
+                for block in run:
+                    if block.block_id > self._engine.t:
+                        self._engine.observe(block)
             if self.pattern_miner is not None:
-                patterns = self.pattern_miner.observe(block)
-                if report is not None:
-                    report.patterns = patterns
-            # Deliberate partial drain, one popped block per fully
-            # accepted replay: a failure mid-catch-up leaves exactly
-            # the unprocessed tail pending — a consistent, retryable
-            # checkpoint state, not a corrupted one.
-            self._pending.pop(0)  # demonlint: disable=DML018 (popped only after every engine accepted this block; the remaining queue is the well-defined not-yet-maintained tail)
-            self._expire_cold(block.block_id)
-            maintained += 1
-        return maintained
+                for block in run:
+                    if block.block_id > self.pattern_miner.t:
+                        patterns = self.pattern_miner.observe(block)
+                        if report is not None:
+                            report.patterns = patterns
+        finally:
+            clocks = [
+                engine.t
+                for engine in (self._engine, self.pattern_miner)
+                if engine is not None
+            ]
+            done = min(clocks)
+            maintained = [block for block in run if block.block_id <= done]
+            # Deliberate partial drain: the remaining queue is exactly
+            # the blocks some engine has not accepted yet — a
+            # consistent, retryable checkpoint state.
+            del self._pending[: len(maintained)]
+            for block in maintained:
+                self._expire_cold(block.block_id)
+        return len(maintained)
 
     def _expire_cold(self, block_id: int) -> None:
         """Tier down the block that just slid out of an MRW window.
@@ -482,9 +485,9 @@ class MiningSession(Generic[TModel, T]):
         deterministic functions of block content, keeping checkpoints
         byte-identical across placements.
 
-        Called per block from the catch-up path *after* that block's
-        maintenance, so a deferring scheduler can never tier down a
-        block it still owes maintenance on.
+        Called for each block once every engine has accepted it, so a
+        deferring scheduler can never tier down a block it still owes
+        maintenance on.
         """
         if not isinstance(self.span, MostRecentWindow):
             return

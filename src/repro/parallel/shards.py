@@ -20,13 +20,15 @@ The payload protocol (DML017-audited via :func:`worker_entry`) ships
 Workers cache what is safe to cache: single-block TID-list stores
 keyed by mmap path (:func:`count_shard`) and spec-built maintainer
 replicas keyed by their spec with a ``block id -> path`` registration
-map (:func:`maintain_shard`).  Inline refs are never cached — the
+map (:func:`maintain_chain_shard`).  Inline refs are never cached — the
 parent's records may differ between calls under the same block id —
 which is one of the "when workers lose" cases in docs/PERFORMANCE.md.
 
 Byte-identity: count vectors merge by TID-list additivity (§2.2);
-maintenance results are pickled models whose bytes the parent adopts
-verbatim, so a parallel run's models are exactly a serial run's.
+maintenance tasks replay one GEMM slot's ``A_M`` chain — a single
+build or add for a one-block run — and return pickled models whose
+bytes the parent adopts verbatim, so a parallel run's models are
+exactly a serial run's.
 Worker-side I/O accounting intentionally stays in the worker (replica
 stats are unbound); only phases and counters ride back through the
 :func:`~repro.parallel.pool.task_telemetry` envelope.
@@ -259,60 +261,23 @@ def _replica(
 
 
 @worker_entry
-def maintain_shard(
-    token: tuple[str, Any],
-    source_blob: bytes | None,
-    new_ref: Sequence[Any],
-    history_refs: Sequence[Sequence[Any]],
-) -> tuple[bytes, dict[str, Any]]:
-    """Run one ``A_M`` invocation (build or add_block) in a worker.
-
-    ``source_blob is None`` means the GEMM plan builds from scratch on
-    the new block alone; otherwise the blob is the source model and the
-    invocation extends it.  Returns the resulting model's pickle —
-    adopted byte-for-byte by the parent — plus the diagnostics entries
-    this operation recorded (only the *changed* channels: a cached
-    replica's log may still hold entries from earlier tasks).
-    """
-    telemetry = task_telemetry()
-    with telemetry.phase("parallel.maintain_shard"):
-        replica = _replica(token, history_refs, new_ref)
-        bind_telemetry(replica, telemetry)
-        diagnostics = getattr(replica, "diagnostics", None)
-        before = diagnostics.entries() if diagnostics is not None else {}
-        block = resolve_block(new_ref)
-        if source_blob is None:
-            model = replica.build([block])
-        else:
-            model = replica.add_block(load_model(source_blob), block)
-        after = diagnostics.entries() if diagnostics is not None else {}
-        changed = {
-            channel: entry
-            for channel, entry in after.items()
-            if before.get(channel) is not entry
-        }
-        telemetry.increment("parallel.models_maintained")
-    return save_model(model), changed
-
-
-@worker_entry
 def maintain_chain_shard(
     token: tuple[str, Any],
     source_blob: bytes | None,
     new_refs: Sequence[Sequence[Any]],
     history_refs: Sequence[Sequence[Any]],
 ) -> tuple[bytes, dict[str, Any]]:
-    """Replay a whole ``A_M`` chain (deferred catch-up) in one worker.
+    """Replay one ``A_M`` chain (one GEMM off-line slot) in a worker.
 
-    The scheduling layer's batched GEMM catch-up
-    (:meth:`repro.core.gemm.GEMM.observe_run`) materializes each final
-    slot by replaying its build/add chain over the pending blocks; this
+    :meth:`repro.core.gemm.GEMM.observe_run` materializes each final
+    slot by replaying its build/add chain over the run's blocks; this
     entry runs one such chain end to end so the intermediate models
     never cross the process boundary.  ``source_blob is None`` starts
     the chain with a build on the first ref; otherwise the blob is the
     chain's source model.  Returns the final model's pickle — adopted
-    byte-for-byte by the parent — plus the changed diagnostics entries,
-    exactly like :func:`maintain_shard`.
+    byte-for-byte by the parent — plus the diagnostics entries this
+    chain recorded (only the *changed* channels: a cached replica's
+    log may still hold entries from earlier tasks).
     """
     telemetry = task_telemetry()
     if not new_refs:

@@ -107,9 +107,11 @@ class TestPatternIntegration:
         class FakeMiner:
             def __init__(self):
                 self.seen = []
+                self.t = 0  # the session's cursor into pending blocks
 
             def observe(self, blk):
                 self.seen.append(blk.block_id)
+                self.t = blk.block_id
                 return f"report-{blk.block_id}"
 
             def distinct_sequences(self, min_length=2):

@@ -17,6 +17,7 @@ from repro.core.session import MiningSession
 from repro.core.windows import MostRecentWindow
 from repro.deviation.focus import ItemsetDeviation
 from repro.deviation.similarity import BlockSimilarity
+from repro.itemsets.apriori import mine_blocks
 from repro.itemsets.borders import BordersMaintainer
 from repro.patterns.compact import CompactSequenceMiner
 from repro.scheduling import DeviationScheduler
@@ -104,7 +105,9 @@ class TestFlushedEquivalence:
         )
 
     def test_batched_gemm_catch_up_matches_per_block(self):
-        """observe_run over the whole stream == eager observe per block."""
+        """observe_run over the whole stream == eager observe per block,
+        and every final slot holds the paper's definition: Apriori over
+        exactly the blocks that slot selects."""
         blocks = drifting_blocks()
         eager = run(lambda: session("eager", "mrw"), blocks)
         batched = session("eager", "mrw")
@@ -117,6 +120,12 @@ class TestFlushedEquivalence:
             assert save_model(load_model(a["models"][key])) == save_model(
                 load_model(b["models"][key])
             )
+        minsup = batched.maintainer.minsup
+        for k, selected in enumerate(a["slots"]):
+            model = batched.engine.model_for_slot(k)
+            assert model.selected_block_ids == selected
+            truth = mine_blocks([blocks[i - 1] for i in selected], minsup)
+            assert model.frequent == truth.frequent
 
     def test_batched_catch_up_skips_retired_intermediates(self):
         """The deferral saves real A_M invocations, not just wall time."""
@@ -154,6 +163,102 @@ class TestFlushedEquivalence:
         )
         eager.backend.close()
         scheduled.backend.close()
+
+
+class RecordingMiner(CompactSequenceMiner):
+    """Records every block it accepts; can crash once on one block."""
+
+    def __init__(self, fail_at=None):
+        super().__init__(
+            BlockSimilarity(
+                ItemsetDeviation(minsup=0.1, max_size=2), method="chi2"
+            )
+        )
+        self.fail_at = fail_at
+        self.seen = []
+
+    def observe(self, block):
+        if block.block_id == self.fail_at:
+            self.fail_at = None
+            raise RuntimeError(f"miner crashed on block {block.block_id}")
+        report = super().observe(block)
+        self.seen.append(block.block_id)
+        return report
+
+
+class TestTwoEngineDrain:
+    """GEMM plus a pattern miner drain through the same batched loop."""
+
+    def two_engine_session(self, scheduler, miner):
+        s = session(scheduler, "mrw", pattern_miner=miner)
+        catch_up = s.engine.observe_run
+        s.gemm_seen = []
+
+        def spy(blocks):
+            s.gemm_seen.extend(block.block_id for block in blocks)
+            return catch_up(blocks)
+
+        s.engine.observe_run = spy
+        return s
+
+    def invocations(self, s):
+        counters = s.telemetry.state_dict()["counters"]
+        return counters.get("gemm.invocations.critical", 0) + counters.get(
+            "gemm.invocations.offline", 0
+        )
+
+    def test_flushed_two_engine_session_matches_eager(self):
+        blocks = drifting_blocks()
+        eager = run(
+            lambda: self.two_engine_session("eager", RecordingMiner()), blocks
+        )
+        scheduled = run(
+            lambda: self.two_engine_session(
+                deviation_scheduler(), RecordingMiner()
+            ),
+            blocks,
+        )
+        assert scheduled.telemetry.state_dict()["counters"].get(
+            "scheduler.deferred", 0
+        ) > 0
+        assert save_model(scheduled.current_model()) == save_model(
+            eager.current_model()
+        )
+        assert save_model(scheduled.discovered_patterns()) == save_model(
+            eager.discovered_patterns()
+        )
+        # The miner no longer forces a block-by-block GEMM replay.
+        assert self.invocations(scheduled) < self.invocations(eager)
+
+    def test_miner_crash_mid_catch_up_is_retryable(self):
+        blocks = drifting_blocks()
+        eager = run(
+            lambda: self.two_engine_session("eager", RecordingMiner()), blocks
+        )
+        miner = RecordingMiner(fail_at=3)
+        s = self.two_engine_session(deviation_scheduler(), miner)
+        crashes = 0
+        for block in blocks:
+            try:
+                s.observe(block)
+            except RuntimeError:
+                crashes += 1
+                # GEMM caught up; the queue keeps what the miner lacks.
+                assert s.engine.t == block.block_id
+                assert miner.t == 2
+                assert s.pending_maintenance == block.block_id - miner.t
+        assert crashes == 1
+        s.flush()
+        assert s.pending_maintenance == 0
+        ids = [block.block_id for block in blocks]
+        assert s.gemm_seen == ids
+        assert miner.seen == ids
+        assert save_model(s.current_model()) == save_model(
+            eager.current_model()
+        )
+        assert save_model(s.discovered_patterns()) == save_model(
+            eager.discovered_patterns()
+        )
 
 
 class TestReadsFlushDeferredWork:

@@ -28,9 +28,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.birch_plus import BirchPlusMaintainer
+from repro.core.bss import WindowRelativeBSS
 from repro.core.session import MiningSession
 from repro.core.windows import MostRecentWindow
 from repro.itemsets.borders import BordersMaintainer
+from repro.scheduling import DeviationScheduler
 from repro.storage.engine import MmapBackend, TieredBackend
 from repro.storage.iostats import IOStats
 from repro.storage.persist import ModelVault, load_model, save_model
@@ -161,10 +163,13 @@ def logical_phase_calls(telemetry):
 
 def run_session(
     make_session, workers, block_streams, tmp_dir, span=None,
-    backend_cls=MmapBackend,
+    backend_cls=MmapBackend, bss=None,
 ):
     session = make_session(
-        backend=backend_cls(root=str(tmp_dir)), workers=workers, span=span
+        backend=backend_cls(root=str(tmp_dir)),
+        workers=workers,
+        span=span,
+        bss=bss,
     )
     for records in block_streams:
         session.ingest(iter(records))
@@ -173,7 +178,7 @@ def run_session(
 
 def assert_workers_equivalent(
     make_session, block_streams, tmp_path_factory, span=None,
-    backend_cls=MmapBackend,
+    backend_cls=MmapBackend, bss=None,
 ):
     serial, parallel = (
         run_session(
@@ -183,6 +188,7 @@ def assert_workers_equivalent(
             tmp_path_factory.mktemp(f"w{workers}"),
             span=span,
             backend_cls=backend_cls,
+            bss=bss,
         )
         for workers in WORKERS
     )
@@ -203,6 +209,7 @@ def assert_workers_equivalent(
     assert pickle.dumps(normalized_checkpoint(serial)) == pickle.dumps(
         normalized_checkpoint(parallel)
     )
+    return serial, parallel
 
 
 # -- the four model classes --------------------------------------------
@@ -242,13 +249,18 @@ class TestSerialParallelEquivalence:
         self, block_streams, tmp_path_factory
     ):
         # A most-recent window forces GEMM to keep w overlapping models
-        # alive — the state the per-model fan-out actually shards.
-        assert_workers_equivalent(
-            borders_ecut_plus_session,
-            block_streams,
-            tmp_path_factory,
-            span=MostRecentWindow(2),
-        )
+        # alive — the state the per-model fan-out actually shards.  The
+        # window-relative BSS leaves the newest block out of the current
+        # model, so its first A_M call is off-line: ECUT+ must key that
+        # block's pair TID-lists on the same model in both runs.
+        for bss in (None, WindowRelativeBSS([1, 0])):
+            assert_workers_equivalent(
+                borders_ecut_plus_session,
+                block_streams,
+                tmp_path_factory,
+                span=MostRecentWindow(2),
+                bss=bss,
+            )
 
     @settings(**SETTINGS)
     @given(block_streams=streams(transactions))
@@ -293,6 +305,43 @@ class TestSerialParallelEquivalence:
             tmp_path_factory,
             span=MostRecentWindow(2),
         )
+
+
+class TestDeferredCatchUp:
+    def test_ecut_plus_window_relative_run(self, tmp_path_factory):
+        # A deferred run under a window-relative BSS gives some blocks
+        # their first A_M call inside an off-line chain, after earlier
+        # steps of the run; ECUT+ must key each block's pair TID-lists
+        # on the serial run's model, in the serial run's order.
+        import random
+
+        rng = random.Random(0)
+        cycle = [
+            [
+                tuple(sorted(set(rng.choices(range(15), k=rng.randint(2, 6)))))
+                for _ in range(100)
+            ]
+            for _ in range(3)
+        ]
+        # Three distinct blocks, repeated: the scheduler sees no drift
+        # and defers up to its staleness bound.
+        block_streams = [cycle[i % 3] for i in range(9)]
+
+        def deferred_session(**kwargs):
+            return borders_ecut_plus_session(
+                scheduler=DeviationScheduler(threshold=0.999999, max_pending=3),
+                **kwargs,
+            )
+
+        for bss in (WindowRelativeBSS([1, 1, 0]), WindowRelativeBSS([1, 0, 1])):
+            serial, _ = assert_workers_equivalent(
+                deferred_session,
+                block_streams,
+                tmp_path_factory,
+                span=MostRecentWindow(3),
+                bss=bss,
+            )
+            assert serial.telemetry.counters["scheduler.deferred"] > 0
 
 
 class TestWorkAttribution:
