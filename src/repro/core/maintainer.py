@@ -10,10 +10,10 @@ window option.  ``A_M`` supports exactly two operations in the paper:
 :class:`IncrementalModelMaintainer` captures that contract plus the two
 bookkeeping operations a generic driver needs (``empty_model`` for a
 BSS that has selected nothing yet, and ``clone`` because GEMM evolves
-several divergent copies of the same model), plus a no-op
-``register_block`` hook that maintainers keeping block storage
-override.  Model classes that are also maintainable under block
-*deletion* (§3.2.4) additionally implement
+several divergent copies of the same model), plus no-op
+``register_block``/``release_block`` hooks that maintainers keeping
+block storage override.  Model classes that are also maintainable under
+block *deletion* (§3.2.4) additionally implement
 :class:`DeletableModelMaintainer`, which enables the direct add+delete
 alternative ``A^u_M`` that the paper compares GEMM against.
 """
@@ -62,6 +62,15 @@ class IncrementalModelMaintainer(ABC, Generic[TModel, T]):
         a block no final model selects still reaches the storage
         context.  ``model`` is the model the block's first ``A_M`` call
         uses.  The default keeps no storage and does nothing.
+        """
+
+    def release_block(self, block_id: int) -> None:
+        """Free what :meth:`register_block` stored for an expired block.
+
+        The session calls this once block ``block_id`` has slid out of
+        the most recent window, after which no model can select it.
+        Must be idempotent and safe for unknown block ids.  The default
+        keeps no storage and does nothing.
         """
 
 

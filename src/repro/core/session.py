@@ -29,14 +29,7 @@ over this class.  The checkpoint format is documented in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Generic,
-    Protocol,
-    TypeVar,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Any, Generic, TypeVar
 
 from repro.core.blocks import Block, Snapshot, make_block
 from repro.core.bss import WindowIndependentBSS, WindowRelativeBSS
@@ -74,20 +67,6 @@ CHECKPOINT_FORMAT = 1
 #: GEMM's ``gemm-spill`` keys (DML011: all tenants of a shared vault
 #: root their keys in a registered namespace).
 CHECKPOINT_NAMESPACE = register_vault_namespace("demon-session")
-
-
-@runtime_checkable
-class SupportsCompressBlock(Protocol):
-    """A TID-list store that can re-encode an expired block in place.
-
-    :meth:`compress_block` must be idempotent and safe for unknown
-    block ids (returning 0 bytes saved), because under deferred
-    maintenance an expired block may never have been materialized.
-    """
-
-    def compress_block(self, block_id: int) -> int:
-        """Re-encode one block's lists; returns bytes saved."""
-        ...
 
 
 class CheckpointError(RuntimeError):
@@ -473,20 +452,18 @@ class MiningSession(Generic[TModel, T]):
         return len(maintained)
 
     def _expire_cold(self, block_id: int) -> None:
-        """Tier down the block that just slid out of an MRW window.
+        """Release the block that just slid out of an MRW window.
 
         Under the most recent window option block ``block_id - w`` can
         no longer enter any selection, so the backend is notified (the
         tiered backend demotes the block's dense columns to its
-        compressed tier; the base-class default is a no-op) and its
-        TID-lists are re-encoded in place (every backend — the counting
-        kernels work directly on the compressed forms, so byte
-        accounting stays backend-independent).  Both steps are
-        deterministic functions of block content, keeping checkpoints
-        byte-identical across placements.
+        compressed tier, keeping the records readable for retained
+        snapshots; the base-class default is a no-op) and the maintainer
+        releases whatever it built for the block (BORDERS drops its
+        TID-lists and pair lists).
 
         Called for each block once every engine has accepted it, so a
-        deferring scheduler can never tier down a block it still owes
+        deferring scheduler can never release a block it still owes
         maintenance on.
         """
         if not isinstance(self.span, MostRecentWindow):
@@ -496,10 +473,8 @@ class MiningSession(Generic[TModel, T]):
             return
         if self.backend is not None:
             self.backend.notify_expired([expired])
-        context = getattr(self.maintainer, "context", None)
-        tidlists = getattr(context, "tidlists", None)
-        if isinstance(tidlists, SupportsCompressBlock):
-            tidlists.compress_block(expired)
+        if self.maintainer is not None:
+            self.maintainer.release_block(expired)
 
     def ingest(
         self,

@@ -184,6 +184,15 @@ class BordersMaintainer(
         ):
             self.materialize_pairs_for_block(block, model)
 
+    def release_block(self, block_id: int) -> None:
+        """Drop an expired block's item TID-lists and ECUT+ pair lists.
+
+        The block's records stay in the block store, where a retained
+        snapshot can still read them.
+        """
+        self.context.tidlists.compress_block(block_id)
+        self.context.pairs.drop_block(block_id)
+
     def materialize_pairs_for_block(
         self, block: Block[Transaction], model: FrequentItemsetModel
     ) -> list[tuple[int, int]]:

@@ -40,11 +40,7 @@ import numpy as np
 from repro.itemsets.itemset import Itemset, Transaction
 from repro.itemsets.kernels import (
     TID_BYTES,
-    BitmapTidList,
-    ChunkedTidList,
-    DeltaVarintTidList,
     TidList,
-    as_array,
     count_pair,
     count_segments,
     intersect_many,
@@ -118,17 +114,6 @@ class PTScanCounter(SupportCounter):
 #: free of per-edge tuple allocation.
 _FetchKey = Union[int, Pair]
 
-#: Compressed lists up to this many tids are decoded once per
-#: (batch, block) pass when first fetched: a trie walk touches each
-#: hot list many times, and re-decoding per intersection costs more
-#: than the one bounded array (at most 512 KB) the decode produces.
-#: Longer lists stay compressed and intersect through the
-#: segment-skipping kernels, which only decode what a probe overlaps.
-#: The threshold depends only on list length, so counting stays
-#: deterministic across backends, workers, and restarts.
-DECODE_AT_FETCH_MAX = 1 << 16
-
-
 class _BlockFetchCache:
     """Per-(batch, block) read-through cache over the TID-list stores.
 
@@ -137,9 +122,6 @@ class _BlockFetchCache:
     recorded as a cache hit on the same I/O counter — each distinct
     physical list is charged exactly once per block, exactly what a
     buffer pool large enough for one block's working set would do.
-    Short compressed lists are decoded on that first fetch (see
-    :data:`DECODE_AT_FETCH_MAX`); hits keep charging the *fetched*
-    (compressed) bytes, because that is what was read from the store.
     """
 
     __slots__ = ("cached", "_tidlists", "_pairs", "_block_id", "_fetched_nbytes")
@@ -167,11 +149,6 @@ class _BlockFetchCache:
         else:
             tids = self._tidlists.fetch_list(self._block_id, key)
         self._fetched_nbytes[key] = list_nbytes(tids)
-        if (
-            isinstance(tids, (ChunkedTidList, DeltaVarintTidList))
-            and len(tids) <= DECODE_AT_FETCH_MAX
-        ):
-            tids = as_array(tids)
         self.cached[key] = tids
         return tids
 
@@ -254,8 +231,8 @@ def _count_trie(
             _zero_descendants(node, counts)
             continue
         # The segmented sibling-leaf kernel needs plain ndarrays on
-        # both sides; bitmap and compressed lists go through the
-        # representation-aware pair kernels instead.
+        # both sides; bitmap lists go through the representation-aware
+        # pair kernels instead.
         running_is_array = isinstance(running, np.ndarray)
         leaves: list[tuple[list[Itemset], TidList]] | None = None
         for key, child in node.children.items():
@@ -564,11 +541,7 @@ class ECUTCounter(SupportCounter):
             block_size = self._tidlists.block_size(block_id)
             if (len(items) + n) * block_size > DENSE_MAX_CELLS:
                 # Oversized blocks fall back to the per-node trie DFS
-                # for scratch-size reasons.  Compressed (cold) blocks
-                # take the dense path like hot ones: the packed catalog
-                # decodes each list at most once per block while the
-                # accountant keeps charging the compressed physical
-                # sizes, so byte accounting stays placement-independent.
+                # for scratch-size reasons.
                 self._count_block_trie(targets, block_id, supports)
                 continue
             # Rank items by (per-block count, item): `items` is sorted,

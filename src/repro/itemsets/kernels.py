@@ -19,13 +19,6 @@ everywhere else in ``src/repro``:
 * :func:`intersect_pair` / :func:`intersect_many` — the adaptive
   dispatcher the stores and counters use; :func:`force_kernel` pins the
   array∧array choice for ablation benchmarks.
-* :class:`DeltaVarintTidList` / :class:`ChunkedTidList` — compressed
-  representations for *cold* blocks (expired from the MRW but still
-  selectable by a window-independent BSS; see ``storage/codecs.py``).
-  Both intersect in the compressed domain: the varint form decodes at
-  most the ~1 Ki-value segments whose ``[first, last]`` range overlaps
-  the probe, the roaring form intersects container-by-container — the
-  full list is never materialized during counting.
 
 The representations carry their *physical* size so the byte-metered I/O
 accounting (``storage/iostats.py``) charges what a disk would serve:
@@ -134,405 +127,8 @@ class BitmapTidList:
         return np.flatnonzero(bits[: self.size]).astype(TID_DTYPE) + self.base
 
 
-#: Values per independently decodable segment of a varint-compressed
-#: list.  Each segment restarts the delta chain, so a probe touching a
-#: narrow tid range decodes only the overlapping segments.
-VARINT_SEGMENT = 1024
-
-
-class DeltaVarintTidList:
-    """One block's TID-list as segmented delta+varint bytes.
-
-    The sorted tids split into :data:`VARINT_SEGMENT`-value segments,
-    each encoded as a standalone ``delta-varint`` blob (its first value
-    is absolute).  ``firsts``/``lasts`` index the segment tid ranges so
-    intersection against a sorted probe decodes only the segments the
-    probe can touch.
-
-    Attributes:
-        blob: Concatenated per-segment varint bytes.
-        offsets: Byte offset of each segment in ``blob`` (plus a final
-            sentinel equal to ``len(blob)``).
-        firsts: First tid of each segment.
-        lasts: Last tid of each segment.
-        base: Global tid of the block's first transaction.
-        size: Number of transactions in the block.
-        count: Number of tids in the list.
-    """
-
-    __slots__ = ("blob", "offsets", "firsts", "lasts", "base", "size", "count")
-
-    def __init__(
-        self,
-        blob: bytes,
-        offsets: np.ndarray,
-        firsts: np.ndarray,
-        lasts: np.ndarray,
-        base: int,
-        size: int,
-        count: int,
-    ):
-        self.blob = blob
-        self.offsets = offsets
-        self.firsts = firsts
-        self.lasts = lasts
-        self.base = base
-        self.size = size
-        self.count = count
-
-    @classmethod
-    def from_array(
-        cls, tids: np.ndarray, base: int, size: int
-    ) -> "DeltaVarintTidList":
-        """Compress a sorted tid array from one block."""
-        from ..storage.codecs import DeltaVarintCodec
-
-        array = np.asarray(tids, dtype=TID_DTYPE)
-        codec = DeltaVarintCodec()
-        parts: list[bytes] = []
-        offsets = [0]
-        for start in range(0, len(array), VARINT_SEGMENT):
-            segment = array[start : start + VARINT_SEGMENT]
-            parts.append(codec.encode(segment))
-            offsets.append(offsets[-1] + len(parts[-1]))
-        n_segments = len(parts)
-        firsts = array[::VARINT_SEGMENT].copy()
-        lasts = array[VARINT_SEGMENT - 1 :: VARINT_SEGMENT]
-        if len(lasts) < n_segments:
-            lasts = np.concatenate((lasts, array[-1:]))
-        else:
-            lasts = lasts.copy()
-        firsts.flags.writeable = False
-        lasts.flags.writeable = False
-        offset_array = np.asarray(offsets, dtype=np.int64)
-        offset_array.flags.writeable = False
-        return cls(
-            b"".join(parts), offset_array, firsts, lasts, base, size, len(array)
-        )
-
-    def __len__(self) -> int:
-        return self.count
-
-    @property
-    def nbytes(self) -> int:
-        """Physical size: what a fetch of this list is charged."""
-        return len(self.blob)
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.firsts)
-
-    def decode_segment(self, index: int) -> np.ndarray:
-        """Decode one segment to its sorted tid array."""
-        from ..storage.codecs import DeltaVarintCodec
-
-        lo = int(self.offsets[index])
-        hi = int(self.offsets[index + 1])
-        count = min(VARINT_SEGMENT, self.count - index * VARINT_SEGMENT)
-        return DeltaVarintCodec().decode(self.blob[lo:hi], count)
-
-    def iter_segments(self) -> Iterator[np.ndarray]:
-        for index in range(self.num_segments):
-            yield self.decode_segment(index)
-
-    def to_array(self) -> np.ndarray:
-        """Decompress to the equivalent sorted tid array."""
-        if self.count == 0:
-            return _empty()
-        return np.concatenate(list(self.iter_segments()))
-
-    def _overlapping(self, probe: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """Segments the sorted ``probe`` can intersect, with its slice."""
-        if len(probe) == 0 or self.count == 0:
-            return
-        los = np.searchsorted(probe, self.firsts, side="left")
-        his = np.searchsorted(probe, self.lasts, side="right")
-        for index in np.flatnonzero(his > los):
-            yield int(index), probe[los[index] : his[index]]
-
-    def intersect_array(self, probe: np.ndarray) -> np.ndarray:
-        """Intersect with a sorted array, decoding overlapping segments."""
-        parts = [
-            intersect_arrays(self.decode_segment(index), piece)
-            for index, piece in self._overlapping(probe)
-        ]
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return _empty()
-        return np.concatenate(parts)
-
-    def count_array(self, probe: np.ndarray) -> int:
-        """``len(intersect_array(probe))`` without materializing it."""
-        return sum(
-            count_arrays(self.decode_segment(index), piece)
-            for index, piece in self._overlapping(probe)
-        )
-
-
-class ChunkedTidList:
-    """One block's TID-list as roaring-style containers (cold blocks).
-
-    Local coordinates (``tid - base``) partition into ``2**16``-wide
-    containers; sparse containers store sorted ``uint16`` arrays, dense
-    ones packed 1024-word bitmaps.  Intersection proceeds container by
-    container, never materializing the whole list.
-
-    Attributes:
-        keys: Sorted container keys (``local >> 16``), ``int64``.
-        kinds: Per-container kind (0 = array, 1 = bitmap), ``uint8``.
-        payloads: Per-container payload arrays.
-        base: Global tid of the block's first transaction.
-        size: Number of transactions in the block.
-        count: Number of tids in the list.
-    """
-
-    __slots__ = ("keys", "kinds", "payloads", "base", "size", "count")
-
-    def __init__(
-        self,
-        keys: np.ndarray,
-        kinds: np.ndarray,
-        payloads: list[np.ndarray],
-        base: int,
-        size: int,
-        count: int,
-    ):
-        self.keys = keys
-        self.kinds = kinds
-        self.payloads = payloads
-        self.base = base
-        self.size = size
-        self.count = count
-
-    @classmethod
-    def from_array(cls, tids: np.ndarray, base: int, size: int) -> "ChunkedTidList":
-        """Compress a sorted tid array from one block."""
-        from ..storage.codecs import (
-            ARRAY_CONTAINER_MAX,
-            pack_container,
-            split_containers,
-        )
-
-        local = np.asarray(tids, dtype=TID_DTYPE) - base
-        keys: list[int] = []
-        kinds: list[int] = []
-        payloads: list[np.ndarray] = []
-        for key, low in split_containers(local):
-            keys.append(key)
-            if len(low) > ARRAY_CONTAINER_MAX:
-                kinds.append(1)
-                payloads.append(pack_container(low))
-            else:
-                kinds.append(0)
-                payloads.append(low)
-        for payload in payloads:
-            payload.flags.writeable = False
-        key_array = np.asarray(keys, dtype=np.int64)
-        kind_array = np.asarray(kinds, dtype=np.uint8)
-        key_array.flags.writeable = False
-        kind_array.flags.writeable = False
-        return cls(key_array, kind_array, payloads, base, size, len(tids))
-
-    def __len__(self) -> int:
-        return self.count
-
-    @property
-    def nbytes(self) -> int:
-        """Physical size: payload bytes plus a 12-byte header/container."""
-        return sum(p.nbytes for p in self.payloads) + 12 * len(self.keys)
-
-    def _container_array(self, index: int) -> np.ndarray:
-        """Sorted ``uint16`` low halves of container ``index``."""
-        from ..storage.codecs import unpack_container
-
-        if self.kinds[index]:
-            return unpack_container(self.payloads[index])
-        return self.payloads[index]
-
-    def to_array(self) -> np.ndarray:
-        """Decompress to the equivalent sorted tid array."""
-        if self.count == 0:
-            return _empty()
-        parts = [
-            self._container_array(index).astype(TID_DTYPE)
-            + (int(self.keys[index]) << 16)
-            + self.base
-            for index in range(len(self.keys))
-        ]
-        return np.concatenate(parts)
-
-    def intersect_array(self, probe: np.ndarray) -> np.ndarray:
-        """Intersect with a sorted global tid array, per container."""
-        if len(probe) == 0 or self.count == 0:
-            return _empty()
-        local = probe - self.base
-        probe_keys = local >> np.int64(16)
-        los = np.searchsorted(probe_keys, self.keys, side="left")
-        his = np.searchsorted(probe_keys, self.keys, side="right")
-        parts: list[np.ndarray] = []
-        for index in np.flatnonzero(his > los):
-            piece = local[los[index] : his[index]]
-            low = (piece & np.int64(0xFFFF)).astype(np.uint64)
-            if self.kinds[index]:
-                words = self.payloads[index]
-                hits = (words[low >> np.uint64(6)] >> (low & np.uint64(63))) & 1
-                hit_mask = hits.astype(bool)
-            else:
-                container = self.payloads[index]
-                positions = np.searchsorted(container, low.astype(np.uint16))
-                hit_mask = (
-                    np.take(container, positions, mode="clip")
-                    == low.astype(np.uint16)
-                )
-            if hit_mask.any():
-                parts.append(probe[los[index] : his[index]][hit_mask])
-        if not parts:
-            return _empty()
-        return np.concatenate(parts)
-
-    def count_array(self, probe: np.ndarray) -> int:
-        """``len(intersect_array(probe))`` without materializing it."""
-        if len(probe) == 0 or self.count == 0:
-            return 0
-        return len(self.intersect_array(probe))
-
-    def _dense_words(self, dense: "BitmapTidList", index: int) -> np.ndarray:
-        """The 1024-word slice of a dense block bitmap for container ``index``."""
-        key = int(self.keys[index])
-        words = dense.words[key * 1024 : (key + 1) * 1024]
-        if len(words) < 1024:
-            padded = np.zeros(1024, dtype=np.uint64)
-            padded[: len(words)] = words
-            return padded
-        return words
-
-    def intersect_dense(self, dense: "BitmapTidList") -> "ChunkedTidList":
-        """Intersect with a same-block dense bitmap, container-wise."""
-        if dense.base != self.base or dense.size != self.size:
-            raise ValueError("bitmap intersection requires lists of the same block")
-        keys: list[int] = []
-        kinds: list[int] = []
-        payloads: list[np.ndarray] = []
-        count = 0
-        for index in range(len(self.keys)):
-            words = self._dense_words(dense, index)
-            if self.kinds[index]:
-                anded = self.payloads[index] & words
-                hit = _popcount(anded)
-                if hit:
-                    keys.append(int(self.keys[index]))
-                    kinds.append(1)
-                    payloads.append(anded)
-                    count += hit
-            else:
-                low = self.payloads[index].astype(np.uint64)
-                hits = (words[low >> np.uint64(6)] >> (low & np.uint64(63))) & 1
-                mask = hits.astype(bool)
-                if mask.any():
-                    keys.append(int(self.keys[index]))
-                    kinds.append(0)
-                    payloads.append(self.payloads[index][mask])
-                    count += int(mask.sum())
-        return ChunkedTidList(
-            np.asarray(keys, dtype=np.int64),
-            np.asarray(kinds, dtype=np.uint8),
-            payloads,
-            self.base,
-            self.size,
-            count,
-        )
-
-    def intersect_chunked(self, other: "ChunkedTidList") -> "ChunkedTidList":
-        """Intersect with another roaring list of the same block."""
-        if other.base != self.base or other.size != self.size:
-            raise ValueError("bitmap intersection requires lists of the same block")
-        keys: list[int] = []
-        kinds: list[int] = []
-        payloads: list[np.ndarray] = []
-        count = 0
-        positions = np.searchsorted(other.keys, self.keys)
-        matched = (
-            np.take(other.keys, positions, mode="clip") == self.keys
-            if len(other.keys)
-            else np.zeros(len(self.keys), dtype=bool)
-        )
-        for index in np.flatnonzero(matched):
-            mine = index
-            theirs = int(positions[index])
-            a_bitmap = bool(self.kinds[mine])
-            b_bitmap = bool(other.kinds[theirs])
-            if a_bitmap and b_bitmap:
-                anded = self.payloads[mine] & other.payloads[theirs]
-                hit = _popcount(anded)
-                if hit:
-                    keys.append(int(self.keys[mine]))
-                    kinds.append(1)
-                    payloads.append(anded)
-                    count += hit
-                continue
-            if a_bitmap or b_bitmap:
-                words = self.payloads[mine] if a_bitmap else other.payloads[theirs]
-                array = other.payloads[theirs] if a_bitmap else self.payloads[mine]
-                low = array.astype(np.uint64)
-                hits = (words[low >> np.uint64(6)] >> (low & np.uint64(63))) & 1
-                mask = hits.astype(bool)
-            else:
-                small = self.payloads[mine]
-                large = other.payloads[theirs]
-                if len(small) > len(large):
-                    small, large = large, small
-                spots = np.searchsorted(large, small)
-                mask = np.take(large, spots, mode="clip") == small
-                array = small
-            if mask.any():
-                keys.append(int(self.keys[mine]))
-                kinds.append(0)
-                payloads.append(array[mask])
-                count += int(mask.sum())
-        return ChunkedTidList(
-            np.asarray(keys, dtype=np.int64),
-            np.asarray(kinds, dtype=np.uint8),
-            payloads,
-            self.base,
-            self.size,
-            count,
-        )
-
-
-#: A TID-list in any physical representation.
-TidList = Union[np.ndarray, BitmapTidList, DeltaVarintTidList, ChunkedTidList]
-
-#: The compressed (cold-tier) representations.
-CompressedTidList = Union[DeltaVarintTidList, ChunkedTidList]
-
-_COMPRESSED_TYPES = (DeltaVarintTidList, ChunkedTidList)
-
-
-def compress_list(tids: TidList, base: int, size: int) -> TidList:
-    """Re-encode one list for the cold tier, keeping the smaller form.
-
-    Sorted arrays become :class:`DeltaVarintTidList`s (typically 1-2
-    bytes per tid against :data:`TID_BYTES`); dense bitmaps become
-    roaring :class:`ChunkedTidList`s.  Either conversion is kept only
-    when it actually shrinks the list — a packed bitmap at exactly the
-    :data:`BITMAP_DENSITY` cutoff is already near-optimal, and a
-    two-element array has nothing to gain — so compressing never grows
-    a block.  The choice depends only on the list's contents, keeping
-    it deterministic across backends and restarts.  Already-compressed
-    lists pass through unchanged.
-    """
-    if isinstance(tids, _COMPRESSED_TYPES):
-        return tids
-    if isinstance(tids, BitmapTidList):
-        chunked = ChunkedTidList.from_array(tids.to_array(), base, size)
-        return chunked if chunked.nbytes < tids.nbytes else tids
-    varint = DeltaVarintTidList.from_array(tids, base, size)
-    return varint if varint.nbytes < list_nbytes(tids) else tids
-
-
-def list_len(tids: TidList) -> int:
-    """Cardinality of a list in any representation."""
-    return len(tids)
+#: A TID-list in either physical representation.
+TidList = Union[np.ndarray, BitmapTidList]
 
 
 def list_nbytes(tids: TidList) -> int:
@@ -722,73 +318,6 @@ def intersect_bitmap_array(bitmap: BitmapTidList, array: np.ndarray) -> np.ndarr
 
 
 # ----------------------------------------------------------------------
-# Compressed-domain kernels
-# ----------------------------------------------------------------------
-
-
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return _empty()
-    return np.concatenate(parts)
-
-
-def _intersect_compressed(a: TidList, b: TidList) -> TidList:
-    """Dispatch when at least one operand is a compressed list.
-
-    Every case stays in the compressed domain: varint operands decode
-    one ~1 Ki-value segment at a time, roaring operands intersect per
-    container.  roaring∧roaring and roaring∧dense-bitmap keep the
-    roaring representation; every other pairing degrades to a sorted
-    array (the sparser representation once a hybrid step happened).
-    """
-    if not isinstance(a, _COMPRESSED_TYPES):
-        a, b = b, a
-    if isinstance(b, np.ndarray):
-        return a.intersect_array(b)
-    if isinstance(a, ChunkedTidList):
-        if isinstance(b, BitmapTidList):
-            return a.intersect_dense(b)
-        if isinstance(b, ChunkedTidList):
-            return a.intersect_chunked(b)
-        # roaring ∧ varint: decode the varint side segment-wise and
-        # probe each segment against the containers.
-        return _concat([a.intersect_array(seg) for seg in b.iter_segments()])
-    # ``a`` is varint.
-    if isinstance(b, BitmapTidList):
-        return _concat(
-            [intersect_bitmap_array(b, seg) for seg in a.iter_segments()]
-        )
-    if isinstance(b, ChunkedTidList):
-        return _concat([b.intersect_array(seg) for seg in a.iter_segments()])
-    # varint ∧ varint: decode the smaller list segment-wise; each
-    # decoded segment prunes the larger list's segment index, so the
-    # larger side is never fully decompressed.
-    small, large = (a, b) if a.count <= b.count else (b, a)
-    return _concat([large.intersect_array(seg) for seg in small.iter_segments()])
-
-
-def _count_compressed(a: TidList, b: TidList) -> int:
-    """Support count for :func:`_intersect_compressed` pairings."""
-    if not isinstance(a, _COMPRESSED_TYPES):
-        a, b = b, a
-    if isinstance(b, np.ndarray):
-        return a.count_array(b)
-    if isinstance(a, ChunkedTidList):
-        if isinstance(b, BitmapTidList):
-            return a.intersect_dense(b).count
-        if isinstance(b, ChunkedTidList):
-            return a.intersect_chunked(b).count
-        return sum(a.count_array(seg) for seg in b.iter_segments())
-    if isinstance(b, BitmapTidList):
-        return sum(count_pair(b, seg) for seg in a.iter_segments())
-    if isinstance(b, ChunkedTidList):
-        return sum(b.count_array(seg) for seg in a.iter_segments())
-    small, large = (a, b) if a.count <= b.count else (b, a)
-    return sum(large.count_array(seg) for seg in small.iter_segments())
-
-
-# ----------------------------------------------------------------------
 # Unified dispatch
 # ----------------------------------------------------------------------
 
@@ -798,12 +327,8 @@ def intersect_pair(a: TidList, b: TidList) -> TidList:
 
     bitmap∧bitmap stays a bitmap (word AND); bitmap∧array degrades to a
     sorted array via the hybrid probe; array∧array dispatches between
-    galloping and linear merge on size skew; compressed operands route
-    through the compressed-domain kernels (:func:`_intersect_compressed`)
-    without full decompression.
+    galloping and linear merge on size skew.
     """
-    if isinstance(a, _COMPRESSED_TYPES) or isinstance(b, _COMPRESSED_TYPES):
-        return _intersect_compressed(a, b)
     a_dense = isinstance(a, BitmapTidList)
     b_dense = isinstance(b, BitmapTidList)
     if a_dense and b_dense:
@@ -817,8 +342,6 @@ def intersect_pair(a: TidList, b: TidList) -> TidList:
 
 def count_pair(a: TidList, b: TidList) -> int:
     """``len(intersect_pair(a, b))`` without materializing the result."""
-    if isinstance(a, _COMPRESSED_TYPES) or isinstance(b, _COMPRESSED_TYPES):
-        return _count_compressed(a, b)
     a_dense = isinstance(a, BitmapTidList)
     b_dense = isinstance(b, BitmapTidList)
     if a_dense and b_dense:

@@ -40,11 +40,8 @@ from repro.itemsets.kernels import (
     BITMAP_DENSITY,
     BITMAP_MIN_BLOCK,
     BitmapTidList,
-    ChunkedTidList,
-    DeltaVarintTidList,
     TidList,
     as_array,
-    compress_list,
     intersect_many,
     intersect_pair,
     list_nbytes,
@@ -99,7 +96,6 @@ class TidListStore:
         self._catalogs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._packed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._sources: dict[int, Block[Transaction]] = {}
-        self._compressed: set[int] = set()
         self._next_tid = 0
 
     @property
@@ -159,89 +155,23 @@ class TidListStore:
         """Global tid of a block's first transaction."""
         return self._base_tids[block_id]
 
-    def drop_block(self, block_id: int) -> None:
-        """Discard a block's lists (when it can never be selected again)."""
+    def compress_block(self, block_id: int) -> None:
+        """Release one block's lists (it can never be selected again).
+
+        The session calls this through the maintainer's
+        ``release_block`` when the block slides out of the most recent
+        window: the lists, their catalogs, and the source handle all go.
+        Idempotent and safe for unknown block ids.  The method keeps its
+        historical name because the end-to-end benchmark's ledger binds
+        ``TidListStore.compress_block`` for its ``tidlist.compress``
+        span.
+        """
         self._lists.pop(block_id, None)
         self._block_sizes.pop(block_id, None)
         self._base_tids.pop(block_id, None)
         self._catalogs.pop(block_id, None)
         self._packed.pop(block_id, None)
         self._sources.pop(block_id, None)
-        self._compressed.discard(block_id)
-
-    # -- the cold tier (compressed lists for expired blocks) -----------
-
-    def block_compressed(self, block_id: int) -> bool:
-        """Whether this block's lists are in compressed representations."""
-        return block_id in self._compressed
-
-    def compressed_nbytes(self) -> int:
-        """Physical bytes of all compressed blocks' lists."""
-        return sum(self.nbytes(block_id) for block_id in self._compressed)
-
-    def compress_block(self, block_id: int) -> int:
-        """Swap one block's lists to compressed representations.
-
-        Called by the session when the block expires from the most
-        recent window: the lists stay selectable by window-independent
-        BSSes, but cold — sorted arrays become segmented delta+varint
-        blobs, dense bitmaps become roaring-style container sets, and
-        counting proceeds in the compressed domain
-        (:mod:`repro.itemsets.kernels`).  Fetch charges shrink to the
-        compressed physical sizes.  Idempotent; returns the compressed
-        bytes now holding the block (0 if unknown or already
-        compressed).  The replacement mapping is built fully before the
-        one-assignment swap, so a failure mid-compression leaves the
-        store untouched (DML018).
-        """
-        if block_id in self._compressed or block_id not in self._lists:
-            return 0
-        base = self._base_tids[block_id]
-        size = self._block_sizes[block_id]
-        compressed = {
-            item: compress_list(tids, base, size)
-            for item, tids in self._block_lists(block_id).items()
-        }
-        self._lists[block_id] = compressed
-        self._catalogs.pop(block_id, None)
-        self._packed.pop(block_id, None)
-        self._compressed.add(block_id)
-        return sum(list_nbytes(tids) for tids in compressed.values())
-
-    def _canonical_lists(self, block_id: int) -> dict[int, TidList]:
-        """A compressed block's lists in their original dense forms.
-
-        Compression maps arrays to varint lists and bitmaps to roaring
-        sets, so the inverse is representation-exact: a
-        compress/decompress cycle (or a checkpoint, which stores the
-        canonical forms) reproduces the lists
-        :meth:`materialize_block` built, byte for byte.
-        """
-        base = self._base_tids[block_id]
-        size = self._block_sizes[block_id]
-        canonical: dict[int, TidList] = {}
-        for item, tids in self._block_lists(block_id).items():
-            if isinstance(tids, ChunkedTidList):
-                canonical[item] = BitmapTidList.from_array(
-                    tids.to_array(), base, size
-                )
-            elif isinstance(tids, DeltaVarintTidList):
-                array = tids.to_array()
-                array.flags.writeable = False
-                canonical[item] = array
-            else:
-                canonical[item] = tids
-        return canonical
-
-    def decompress_block(self, block_id: int) -> bool:
-        """Restore one block's lists to their dense representations."""
-        if block_id not in self._compressed:
-            return False
-        self._lists[block_id] = self._canonical_lists(block_id)
-        self._catalogs.pop(block_id, None)
-        self._packed.pop(block_id, None)
-        self._compressed.discard(block_id)
-        return True
 
     def source_block(self, block_id: int) -> Block[Transaction] | None:
         """The block handle this store materialized ``block_id`` from.
@@ -263,33 +193,18 @@ class TidListStore:
         # ``_lists`` — persisting them would make checkpoint bytes
         # depend on which process happened to count which block (the
         # sharded path builds them worker-side).  The TID-lists
-        # themselves are self-contained and are what persists — in
-        # their *canonical* dense forms: compression is a placement
-        # decision, and checkpoint bytes must be identical regardless
-        # of where (or how compactly) a block currently lives.  The
-        # sorted id list records which blocks were cold so restore can
-        # re-compress them deterministically.
+        # themselves are self-contained and are what persists.
         state = dict(self.__dict__)
         state["_sources"] = {}
         state["_catalogs"] = {}
         state["_packed"] = {}
-        if self._compressed:
-            lists = dict(self._lists)
-            for block_id in self._compressed:
-                lists[block_id] = self._canonical_lists(block_id)
-            state["_lists"] = lists
-        state["_compressed"] = sorted(self._compressed)
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         state.setdefault("_sources", {})
         state.setdefault("_catalogs", {})
         state.setdefault("_packed", {})
-        cold_ids = state.pop("_compressed", ())
         self.__dict__.update(state)
-        self._compressed = set()
-        for block_id in cold_ids:
-            self.compress_block(block_id)
 
     def _block_lists(self, block_id: int) -> dict[int, TidList]:
         block_lists = self._lists.get(block_id)
@@ -414,12 +329,6 @@ class TidListStore:
                     nbytes[r] = tids.nbytes
                     matrix[r] = tids.words.view(np.uint8)[:width]
                 else:
-                    if not isinstance(tids, np.ndarray):
-                        # Compressed (cold) list: the dense engine
-                        # wants packed rows, so decode this once; the
-                        # charge stays the compressed physical size.
-                        nbytes[r] = tids.nbytes
-                        tids = tids.to_array()
                     arrays.append(tids)
                     rows.append(r)
             if arrays:

@@ -1,25 +1,21 @@
-"""Column codecs for the tiered storage engine (delta+varint, bitmaps).
+"""Column codecs for the tiered storage engine (delta+varint, raw).
 
-Cold blocks — expired from the most recent window but still selectable
-by a window-independent BSS — compact to compressed on-disk form (see
-:class:`~repro.storage.engine.TieredBackend`).  This module owns the
+Cold blocks — expired from the most recent window, so no model selects
+them again — compact their records to compressed on-disk form (see
+:class:`~repro.storage.engine.TieredBackend`); the records stay
+readable for snapshots that still hold the block.  This module owns the
 encodings, behind one tiny :class:`ColumnCodec` protocol with an exact
 round-trip guarantee: ``decode(encode(values), len(values))`` returns
 the input bit-for-bit for every ``int64`` array.
 
-Four integer codecs ship:
+Three integer codecs ship:
 
 * :class:`DeltaVarintCodec` — zigzag-encoded first differences in
-  LEB128 varint bytes.  Sorted TID-lists and CSR offset columns (small,
-  mostly-positive deltas) compress to one or two bytes per value; the
-  zigzag step keeps *unsorted* int columns (CSR value runs restart at
-  every transaction) lossless.  Encode and decode are fully vectorized:
-  no Python-level per-value loop touches the data.
-* :class:`ChunkedBitmapCodec` — a roaring-style layout for sorted
-  duplicate-free non-negative arrays: values partition into
-  ``2**16``-wide containers, each stored as a sorted ``uint16`` array
-  when sparse or a packed 8 KiB bitmap when it holds more than
-  :data:`ARRAY_CONTAINER_MAX` values (the byte-size crossover point).
+  LEB128 varint bytes.  CSR offset columns (small, non-negative deltas)
+  compress to one or two bytes per value; the zigzag step keeps
+  *unsorted* int columns (CSR value runs restart at every transaction)
+  lossless.  Encode and decode are fully vectorized: no Python-level
+  per-value loop touches the data.
 * :class:`RawU16Codec` — fixed two-byte values for unsorted narrow
   columns (item ids); trades ~0.7 bytes/value against delta-varint
   for a branch-free single-``frombuffer`` decode on the cold scan
@@ -41,10 +37,6 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 __all__ = [
-    "ARRAY_CONTAINER_MAX",
-    "CONTAINER_BITS",
-    "CONTAINER_SIZE",
-    "ChunkedBitmapCodec",
     "CodecError",
     "ColumnCodec",
     "DeltaVarintCodec",
@@ -54,15 +46,6 @@ __all__ = [
     "inflate",
     "resolve_codec",
 ]
-
-#: Width of one roaring-style container in values.
-CONTAINER_BITS = 16
-CONTAINER_SIZE = 1 << CONTAINER_BITS
-
-#: A container holding more values than this stores a packed bitmap
-#: (8 KiB) instead of a sorted ``uint16`` array — the exact byte-size
-#: crossover (``2 bytes * 4096 = 8192``).
-ARRAY_CONTAINER_MAX = 4096
 
 #: Maximum LEB128 bytes one 64-bit value can need (ceil(64 / 7)).
 _MAX_VARINT_BYTES = 10
@@ -209,134 +192,6 @@ class DeltaVarintCodec:
         return np.cumsum(_unzigzag(encoded), dtype=np.int64)
 
 
-# ----------------------------------------------------------------------
-# Roaring-style chunked bitmap
-# ----------------------------------------------------------------------
-
-#: Container kinds in the serialized layout.
-_ARRAY_CONTAINER = 0
-_BITMAP_CONTAINER = 1
-
-#: Words per full-container bitmap (``2**16 / 64``).
-_CONTAINER_WORDS = CONTAINER_SIZE // 64
-
-_HEADER_DTYPE = np.dtype(
-    [("key", "<u4"), ("kind", "<u4"), ("cardinality", "<u4")]
-)
-
-
-def split_containers(
-    values: np.ndarray,
-) -> list[tuple[int, np.ndarray]]:
-    """Partition a sorted non-negative array into ``(key, low16)`` runs.
-
-    ``key`` is ``value >> 16``; the returned low halves are sorted
-    ``uint16`` arrays.  Shared by the codec and the compressed-domain
-    kernels (:mod:`repro.itemsets.kernels`), which intersect
-    container-by-container.
-    """
-    array = _as_int64(values)
-    if len(array) == 0:
-        return []
-    keys = array >> np.int64(CONTAINER_BITS)
-    boundaries = np.flatnonzero(np.diff(keys)) + 1
-    pieces = np.split(array, boundaries)
-    return [
-        (int(piece[0]) >> CONTAINER_BITS, (piece & np.int64(0xFFFF)).astype(np.uint16))
-        for piece in pieces
-    ]
-
-
-def pack_container(low: np.ndarray) -> np.ndarray:
-    """Pack sorted ``uint16`` low halves into a 1024-word bitmap."""
-    words = np.zeros(_CONTAINER_WORDS, dtype=np.uint64)
-    offsets = low.astype(_U64)
-    np.bitwise_or.at(
-        words, offsets >> _U64(6), _U64(1) << (offsets & _U64(63))
-    )
-    return words
-
-
-def unpack_container(words: np.ndarray) -> np.ndarray:
-    """Sorted ``uint16`` low halves of a 1024-word bitmap."""
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return np.flatnonzero(bits).astype(np.uint16)
-
-
-class ChunkedBitmapCodec:
-    """Roaring-style serialization of sorted duplicate-free arrays.
-
-    Layout: ``uint32`` container count, then one 12-byte header per
-    container (key, kind, cardinality), then the concatenated payloads
-    (sorted ``uint16`` arrays or 8 KiB packed bitmaps).  Requires the
-    input to be sorted, duplicate-free, and non-negative — exactly the
-    shape of a TID-list or CSR offset column.
-    """
-
-    name = "chunked-bitmap"
-
-    def encode(self, values: np.ndarray) -> bytes:
-        array = _as_int64(values)
-        if len(array) and (
-            int(array[0]) < 0 or np.any(array[1:] <= array[:-1])
-        ):
-            raise CodecError(
-                "chunked-bitmap encodes sorted duplicate-free "
-                "non-negative arrays"
-            )
-        containers = split_containers(array)
-        headers = np.empty(len(containers), dtype=_HEADER_DTYPE)
-        payloads: list[bytes] = []
-        for index, (key, low) in enumerate(containers):
-            if len(low) > ARRAY_CONTAINER_MAX:
-                kind = _BITMAP_CONTAINER
-                payloads.append(pack_container(low).tobytes())
-            else:
-                kind = _ARRAY_CONTAINER
-                payloads.append(low.tobytes())
-            headers[index] = (key, kind, len(low))
-        return b"".join(
-            [
-                np.uint32(len(containers)).tobytes(),
-                headers.tobytes(),
-                *payloads,
-            ]
-        )
-
-    def decode(self, blob: bytes, count: int) -> np.ndarray:
-        if len(blob) < 4:
-            raise CodecError("chunked-bitmap blob shorter than its header")
-        n_containers = int(np.frombuffer(blob, dtype=np.uint32, count=1)[0])
-        offset = 4 + n_containers * _HEADER_DTYPE.itemsize
-        headers = np.frombuffer(
-            blob, dtype=_HEADER_DTYPE, count=n_containers, offset=4
-        )
-        parts: list[np.ndarray] = []
-        total = 0
-        for key, kind, cardinality in headers:
-            high = np.int64(int(key)) << np.int64(CONTAINER_BITS)
-            if kind == _BITMAP_CONTAINER:
-                words = np.frombuffer(
-                    blob, dtype=np.uint64, count=_CONTAINER_WORDS, offset=offset
-                )
-                offset += _CONTAINER_WORDS * 8
-                low = unpack_container(words)
-                if len(low) != cardinality:
-                    raise CodecError("bitmap container cardinality mismatch")
-            else:
-                low = np.frombuffer(
-                    blob, dtype=np.uint16, count=int(cardinality), offset=offset
-                )
-                offset += int(cardinality) * 2
-            parts.append(low.astype(np.int64) + high)
-            total += int(cardinality)
-        if total != count:
-            raise CodecError(f"blob holds {total} values, expected {count}")
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-
-
 class RawCodec:
     """Identity codec: little-endian ``int64`` bytes."""
 
@@ -403,7 +258,6 @@ _CODECS: dict[str, ColumnCodec] = {
     codec.name: codec
     for codec in (
         DeltaVarintCodec(),
-        ChunkedBitmapCodec(),
         RawCodec(),
         RawU16Codec(),
     )

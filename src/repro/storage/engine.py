@@ -267,8 +267,7 @@ class MeteredMemoryData(InMemoryBlockData[T]):
 def _write_block_dir(
     path: str, records: Iterable[T], chunk_size: int
 ) -> "MmapBlockData[T]":
-    """Stream ``records`` into a columnar block directory at ``path``."""
-    os.makedirs(path, exist_ok=True)
+    """Stream ``records`` into the (existing, empty) directory ``path``."""
     chunks = _chunked(records, chunk_size)
     first = next(chunks, [])
     schema = infer_schema(first)
@@ -731,8 +730,9 @@ class MmapBackend(BlockBackend):
     Args:
         root: Directory block subdirectories are created under; a fresh
             temporary directory is created when omitted.  Sharing a
-            root across backends is safe — block directories are named
-            by a monotonic sequence scanned from the root.
+            root across backends is safe — each block directory is
+            claimed with an exclusive create, so a backend skips names
+            another one already took.
         registry / chunk_size / counter_name: see :class:`BlockBackend`.
     """
 
@@ -761,9 +761,24 @@ class MmapBackend(BlockBackend):
                 highest = max(highest, int(name[1:]))
         return highest
 
+    def _claim_block_dir(self) -> str:
+        """Create the next free ``bNNNNNNNN`` directory under the root.
+
+        The sequence scanned at construction is only a starting hint:
+        another backend on the same root may have taken later names
+        since, and ``os.mkdir`` fails on those instead of sharing them.
+        """
+        while True:
+            self._seq += 1
+            path = os.path.join(self.root, f"b{self._seq:08d}")
+            try:
+                os.mkdir(path)
+            except FileExistsError:
+                continue
+            return path
+
     def _create_data(self, records: Iterable[T]) -> MmapBlockData[T]:
-        self._seq += 1
-        path = os.path.join(self.root, f"b{self._seq:08d}")
+        path = self._claim_block_dir()
         data = _write_block_dir(path, records, self.resolved_chunk_size())
         data.bind_stats(self._stats)
         return data
@@ -797,6 +812,10 @@ _DEMOTE_RECYCLE_CHUNKS = 16
 
 #: Codec recorded for the byte-payload (dense float / pickle) layouts.
 DEFLATE_CODEC = "deflate"
+
+#: Codec for the CSR offset columns (and for value runs too wide for
+#: ``raw-u16``).
+INT_CODEC = "delta-varint"
 
 
 def _dense_file_names(schema: BlockSchema, chunk_rows: list[dict[str, int]]) -> list[str]:
@@ -904,7 +923,7 @@ class TieredBlockData(MmapBlockData[T]):
 
     # -- demotion (hot -> cold) ----------------------------------------
 
-    def demote(self, int_codec: str = "delta-varint") -> int:
+    def demote(self) -> int:
         """Compact the dense layout to compressed form; idempotent.
 
         Returns the number of dense bytes removed from disk (0 when the
@@ -917,8 +936,8 @@ class TieredBlockData(MmapBlockData[T]):
         if self.tier == TIER_COLD:
             return 0
         blocking_call("demote")
-        codec_name = int_codec if self.schema.kind == KIND_CSR else DEFLATE_CODEC
-        codec = resolve_codec(int_codec) if self.schema.kind == KIND_CSR else None
+        codec_name = INT_CODEC if self.schema.kind == KIND_CSR else DEFLATE_CODEC
+        codec = resolve_codec(INT_CODEC) if self.schema.kind == KIND_CSR else None
         dense_files = [
             os.path.join(self.path, name)
             for name in _dense_file_names(self.schema, self._chunk_rows)
@@ -1307,8 +1326,6 @@ class TieredBackend(MmapBackend):
     carries one (see ``ModelVault.enable_codec``).
 
     Args:
-        int_codec: Codec for integer CSR columns (``"delta-varint"`` or
-            any registered :class:`~repro.storage.codecs.ColumnCodec`).
         root / registry / chunk_size / counter_name: see
             :class:`MmapBackend`.
     """
@@ -1324,7 +1341,6 @@ class TieredBackend(MmapBackend):
         registry: IOStatsRegistry | None = None,
         chunk_size: int | None = None,
         counter_name: str = BACKEND_COUNTER,
-        int_codec: str = "delta-varint",
     ) -> None:
         super().__init__(
             root=root,
@@ -1332,7 +1348,6 @@ class TieredBackend(MmapBackend):
             chunk_size=chunk_size,
             counter_name=counter_name,
         )
-        self.int_codec = int_codec
         self.telemetry: Any = None
         self._by_id: "weakref.WeakValueDictionary[int, TieredBlockData[Any]]" = (
             weakref.WeakValueDictionary()
@@ -1370,7 +1385,7 @@ class TieredBackend(MmapBackend):
         data = self._by_id.get(block_id)
         if data is None or data.tier == TIER_COLD:
             return False
-        reclaimed = data.demote(self.int_codec)
+        reclaimed = data.demote()
         self._count("storage.tier.demotions")
         self._count("storage.tier.compressed_bytes", data.compressed_nbytes())
         self._count("storage.tier.reclaimed_bytes", reclaimed)
@@ -1412,14 +1427,6 @@ class TieredBackend(MmapBackend):
             "compressed_bytes": compressed,
         }
 
-    def spec(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "root": self.root,
-            "chunk_size": self.chunk_size,
-            "int_codec": self.int_codec,
-        }
-
 
 # ----------------------------------------------------------------------
 # Backend resolution (specs, names, the ambient environment toggle)
@@ -1436,11 +1443,7 @@ def backend_from_spec(spec: dict[str, Any]) -> BlockBackend:
     if kind == InMemoryBackend.kind:
         return InMemoryBackend(chunk_size=chunk_size)
     if kind == TieredBackend.kind:
-        return TieredBackend(
-            root=spec.get("root"),
-            chunk_size=chunk_size,
-            int_codec=spec.get("int_codec", "delta-varint"),
-        )
+        return TieredBackend(root=spec.get("root"), chunk_size=chunk_size)
     if kind == MmapBackend.kind:
         return MmapBackend(root=spec.get("root"), chunk_size=chunk_size)
     raise ValueError(f"unknown block backend kind {kind!r}")

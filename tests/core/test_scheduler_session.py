@@ -301,7 +301,8 @@ class TestExpiryOrdering:
     def test_deferred_blocks_are_never_demoted_before_maintenance(self):
         """MRW expiry is a maintenance side effect, not an ingest one:
         with the whole stream deferred past the window size, no block
-        may reach the cold tier until catch-up has replayed it."""
+        may reach the cold tier or lose its TID-lists until catch-up
+        has replayed it."""
         streams = [list(block.iter_records()) for block in drifting_blocks()[:6]]
         s = session(
             DeviationScheduler(threshold=0.999999, max_pending=7),
@@ -329,9 +330,15 @@ class TestExpiryOrdering:
         # An eager run has demoted blocks 1 and 2 by t=6; the deferring
         # run must demote nothing — every candidate is still pending.
         assert counters.get("storage.tier.demotions", 0) == 0
+        # Only block 1 has been maintained (and so registered); it keeps
+        # its TID-lists, and the pending blocks get theirs at catch-up.
+        tidlists = s.maintainer.context.tidlists
+        assert [b for b in range(1, 7) if tidlists.has_block(b)] == [1]
         s.flush()
         counters = s.telemetry.state_dict()["counters"]
         assert counters.get("storage.tier.demotions", 0) == 2  # blocks 1, 2
+        # Exactly the two expired blocks were released.
+        assert [b for b in range(1, 7) if not tidlists.has_block(b)] == [1, 2]
 
         eager = session("eager", "mrw", backend="tiered")
         for records in streams:

@@ -109,10 +109,15 @@ class TestTidListStore:
         assert store.total_nbytes() == store.nbytes(1) + store.nbytes(2)
 
     def test_drop_block(self):
+        # ``compress_block`` is the store's one release method: it
+        # drops the block's lists, idempotently, and ignores unknown ids.
         store = store_with_blocks()
-        store.drop_block(1)
+        store.compress_block(1)
+        store.compress_block(1)
+        store.compress_block(99)
         assert not store.has_block(1)
         assert store.has_block(2)
+        assert store.total_nbytes() == store.nbytes(2)
 
     def test_block_size(self):
         store = store_with_blocks()

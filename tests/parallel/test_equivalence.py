@@ -254,13 +254,20 @@ class TestSerialParallelEquivalence:
         # model, so its first A_M call is off-line: ECUT+ must key that
         # block's pair TID-lists on the same model in both runs.
         for bss in (None, WindowRelativeBSS([1, 0])):
-            assert_workers_equivalent(
+            runs = assert_workers_equivalent(
                 borders_ecut_plus_session,
                 block_streams,
                 tmp_path_factory,
                 span=MostRecentWindow(2),
                 bss=bss,
             )
+            # Blocks that slid out of the window hold neither item nor
+            # pair TID-lists in either run.
+            for session in runs:
+                context = session.maintainer.context
+                expired = range(1, session.t - 1)
+                assert not any(context.tidlists.has_block(b) for b in expired)
+                assert not any(context.pairs.has_block(b) for b in expired)
 
     @settings(**SETTINGS)
     @given(block_streams=streams(transactions))
@@ -270,7 +277,7 @@ class TestSerialParallelEquivalence:
         # Under MRW on the tiered backend every expired block is
         # demoted as the window slides, so the serial and sharded runs
         # both execute on a mix of hot and cold placements — byte
-        # parity must survive the compressed tier.
+        # parity must survive the cold tier.
         assert_workers_equivalent(
             borders_ecut_session,
             block_streams,

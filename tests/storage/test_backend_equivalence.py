@@ -234,9 +234,9 @@ def focus_session(**kwargs):
 
 def borders_mrw_session(**kwargs):
     """Borders under a w=2 most recent window: with 3+ blocks the
-    session demotes expired blocks (tiered backend) and compresses
+    session demotes expired blocks (tiered backend) and releases
     their TID-lists (every backend), so this factory exercises the
-    cold-tier paths the unrestricted-window factories never reach."""
+    expiry paths the unrestricted-window factories never reach."""
     return MiningSession(
         BordersMaintainer(0.25, counter="ecut"),
         span=MostRecentWindow(2),
@@ -286,7 +286,7 @@ class TestModelEquivalence:
         self, block_streams, tmp_path_factory
     ):
         """Demote-then-count: blocks slide out of the window, the
-        tiered backend compresses them, and everything observable —
+        tiered backend demotes them, and everything observable —
         models, logical I/O, checkpoints — still matches the other
         backends byte for byte."""
         assert_sessions_equivalent(
@@ -307,11 +307,15 @@ class TestModelEquivalence:
         stats = session.backend.tier_stats()
         assert stats["cold_blocks"] == expected_cold
         assert session.telemetry.counters["storage.tier.demotions"] == expected_cold
-        # The maintainer's TID-lists went cold in lockstep.
+        # The maintainer released the expired blocks' TID-lists in
+        # lockstep and kept the window's.
         tidlists = session.maintainer.context.tidlists
+        assert not any(
+            tidlists.has_block(block_id) for block_id in range(1, expected_cold + 1)
+        )
         assert all(
-            tidlists.block_compressed(block_id)
-            for block_id in range(1, expected_cold + 1)
+            tidlists.has_block(block_id)
+            for block_id in range(expected_cold + 1, len(block_streams) + 1)
         )
         session.backend.close()
 
@@ -389,7 +393,7 @@ class TestCheckpointAcrossBackends:
         """Checkpoint a tiered MRW session after demotions, restore
         onto a fresh tiered backend, keep streaming: models track an
         uninterrupted in-memory run and the restored TID-list store
-        comes back compressed."""
+        holds only the window's blocks."""
         split = len(block_streams) - 1
         truth = run_on(borders_mrw_session, InMemoryBackend(), block_streams)
 
@@ -415,10 +419,8 @@ class TestCheckpointAcrossBackends:
             backend=TieredBackend(root=str(tmp_path_factory.mktemp("tier-dst"))),
         )
         tidlists = restored.maintainer.context.tidlists
-        assert all(
-            tidlists.block_compressed(block_id)
-            for block_id in range(1, split - 1)
-        )
+        assert not any(tidlists.has_block(block_id) for block_id in range(1, split - 1))
+        assert all(tidlists.has_block(block_id) for block_id in (split - 1, split))
         for records in block_streams[split:]:
             restored.ingest(iter(records))
         assert restored.t == truth.t == len(block_streams)

@@ -1,11 +1,10 @@
 """Codec layer: exact round-trips are the contract, bytes are the point.
 
 Every :class:`ColumnCodec` must invert exactly on its declared domain —
-delta+varint on arbitrary int64 columns, the chunked bitmap on sorted
-duplicate-free non-negative columns — because cold blocks are rebuilt
-from these blobs byte-for-byte on promotion.  Hypothesis hunts for
-round-trip violations; the directed cases pin the wire format's edges
-(int64 extremes, empty columns, container-kind crossovers).
+delta+varint on arbitrary int64 columns, raw-u16 on ``[0, 2**16)`` —
+because cold blocks are rebuilt from these blobs byte-for-byte on
+promotion.  Hypothesis hunts for round-trip violations; the directed
+cases pin the wire format's edges (int64 extremes, empty columns).
 """
 
 import numpy as np
@@ -14,9 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.codecs import (
-    ARRAY_CONTAINER_MAX,
-    CONTAINER_SIZE,
-    ChunkedBitmapCodec,
     CodecError,
     ColumnCodec,
     DeltaVarintCodec,
@@ -24,10 +20,7 @@ from repro.storage.codecs import (
     RawU16Codec,
     deflate,
     inflate,
-    pack_container,
     resolve_codec,
-    split_containers,
-    unpack_container,
 )
 
 INT64_MIN = -(2**63)
@@ -36,10 +29,6 @@ INT64_MAX = 2**63 - 1
 int64_columns = st.lists(
     st.integers(INT64_MIN, INT64_MAX), min_size=0, max_size=300
 ).map(lambda values: np.asarray(values, dtype=np.int64))
-
-sorted_tid_columns = st.lists(
-    st.integers(0, 400_000), min_size=0, max_size=300
-).map(lambda values: np.asarray(sorted(set(values)), dtype=np.int64))
 
 
 class TestDeltaVarint:
@@ -87,74 +76,10 @@ class TestDeltaVarint:
             codec.decode(blob[:-1], 100)
 
 
-class TestChunkedBitmap:
-    @settings(max_examples=100, deadline=None)
-    @given(values=sorted_tid_columns)
-    def test_round_trip_is_exact(self, values):
-        codec = ChunkedBitmapCodec()
-        blob = codec.encode(values)
-        decoded = codec.decode(blob, len(values))
-        assert decoded.dtype == np.int64
-        np.testing.assert_array_equal(decoded, values)
-
-    def test_container_kind_crossover(self):
-        # Exactly ARRAY_CONTAINER_MAX values stay an array container;
-        # one more flips the container to a bitmap.  Both invert.
-        codec = ChunkedBitmapCodec()
-        for count in (ARRAY_CONTAINER_MAX, ARRAY_CONTAINER_MAX + 1):
-            values = np.arange(count, dtype=np.int64)
-            blob = codec.encode(values)
-            np.testing.assert_array_equal(codec.decode(blob, count), values)
-
-    def test_sparse_far_apart_containers(self):
-        codec = ChunkedBitmapCodec()
-        values = np.array([0, CONTAINER_SIZE, 7 * CONTAINER_SIZE + 3], dtype=np.int64)
-        np.testing.assert_array_equal(codec.decode(codec.encode(values), 3), values)
-
-    def test_unsorted_rejected(self):
-        codec = ChunkedBitmapCodec()
-        with pytest.raises(CodecError):
-            codec.encode(np.array([3, 1, 2], dtype=np.int64))
-
-    def test_negative_rejected(self):
-        codec = ChunkedBitmapCodec()
-        with pytest.raises(CodecError):
-            codec.encode(np.array([-1, 0, 1], dtype=np.int64))
-
-    def test_duplicates_rejected(self):
-        codec = ChunkedBitmapCodec()
-        with pytest.raises(CodecError):
-            codec.encode(np.array([1, 1, 2], dtype=np.int64))
-
-
-class TestContainers:
-    @settings(max_examples=50, deadline=None)
-    @given(values=sorted_tid_columns)
-    def test_split_covers_everything_in_order(self, values):
-        parts = split_containers(values)
-        rebuilt = [
-            (np.int64(key) << 16) | low.astype(np.int64)
-            for key, low in parts
-        ]
-        merged = (
-            np.concatenate(rebuilt)
-            if rebuilt
-            else np.empty(0, dtype=np.int64)
-        )
-        np.testing.assert_array_equal(merged, values)
-
-    def test_pack_unpack_container(self):
-        low = np.array([0, 1, 4095, 65535], dtype=np.uint16)
-        words = pack_container(low)
-        assert words.dtype == np.uint64 and len(words) == 1024
-        np.testing.assert_array_equal(unpack_container(words), low)
-
-
 class TestRegistryAndHelpers:
     def test_resolve_each_codec(self):
         for name, cls in [
             ("delta-varint", DeltaVarintCodec),
-            ("chunked-bitmap", ChunkedBitmapCodec),
             ("raw", RawCodec),
             ("raw-u16", RawU16Codec),
         ]:

@@ -239,6 +239,21 @@ class TestSpecsAndAdoption:
         assert a.materialize() == tuple(TRANSACTIONS)
         assert b.materialize() == tuple(POINTS)
 
+    def test_two_backends_on_one_root_keep_their_own_blocks(self, tmp_path):
+        # A restored session rebuilds a second backend on the ambient
+        # one's root; interleaved ingests must never claim the same
+        # block directory, or one backend overwrites the other's data.
+        backends = [MmapBackend(root=str(tmp_path)) for _ in range(2)]
+        ingested = []
+        for block_id in range(1, 4):
+            for k, backend in enumerate(backends):
+                records = [(100 * k + block_id, 1000 + j) for j in range(3)]
+                ingested.append((backend.ingest(block_id, records), records))
+        paths = [block.data.path for block, _ in ingested]
+        assert len(set(paths)) == len(paths)
+        for block, records in ingested:
+            assert block.materialize() == tuple(records)
+
     def test_memory_spec_round_trip(self):
         spec = InMemoryBackend(chunk_size=7).spec()
         rebuilt = backend_from_spec(spec)

@@ -83,6 +83,24 @@ def test_partial_baselines_render_only_their_tables(
     assert "(no rows: BENCH_scheduler.json)" in err
 
 
+def test_compression_throughput_renders_the_scan_gate():
+    rows = [
+        {
+            "bench": "compression_throughput",
+            "dataset": "quest",
+            "records": 1000,
+            "hot_scan_seconds": 0.010,
+            "cold_scan_seconds": 0.011,
+            "scan_slowdown": 1.1,
+        }
+    ]
+    (table,) = regen.compression_tables(regen.by_bench(rows))
+    assert "Full scan, quest (1000 transactions)" in table
+    assert "hot (dense)    10.0" in table
+    assert "cold (packed)  11.0" in table
+    assert "1.10x" in table
+
+
 def test_render_table_layout_matches_print_table():
     rendered = regen.render_table(
         "T", ["col", "ms"], [["a", "1.0"], ["bb", "10.0"]]
