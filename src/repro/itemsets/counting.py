@@ -18,15 +18,17 @@ All three implement :class:`SupportCounter` so BORDERS treats them
 interchangeably.
 
 Each counter additionally exposes :meth:`SupportCounter.count_batch`,
-the batched engine BORDERS actually calls: per block, the candidate set
-is organized in a prefix trie over rarest-first fetch-key sequences, so
-candidates sharing a prefix share the partial intersection computed at
-the common trie node, and a per-batch fetch cache reads each distinct
-physical list exactly once per block (repeat uses are recorded as cache
-hits, not re-charged — the byte meter sees what a buffer pool would
-serve from disk).  PT-Scan's plain :meth:`~PTScanCounter.count` is
-already batched — one prefix tree, one scan — so its batch path is the
-same code.
+the batched engine BORDERS actually calls.  Per block, every candidate
+is a rarest-first sequence of fetch keys, and the candidates advance
+level-synchronously over packed bitset rows: one depth of every
+candidate's running intersection is one fancy-indexed ``&`` and one
+row popcount.  The running rows are processed in chunks under a fixed
+byte budget (:data:`DENSE_CHUNK_BYTES`), so one engine serves every
+block size.  Each distinct physical list is charged exactly once per
+block and batch; repeat uses are recorded as cache hits, not
+re-charged, so the byte meter sees what a buffer pool would serve from
+disk.  PT-Scan's plain :meth:`~PTScanCounter.count` is already batched
+(one prefix tree, one scan), so its batch path is the same code.
 """
 
 from __future__ import annotations
@@ -41,11 +43,7 @@ from repro.itemsets.itemset import Itemset, Transaction
 from repro.itemsets.kernels import (
     TID_BYTES,
     TidList,
-    count_pair,
-    count_segments,
     intersect_many,
-    intersect_pair,
-    list_nbytes,
 )
 from repro.itemsets.materialize import Pair, PairTidListStore, plan_cover
 from repro.itemsets.prefix_tree import PrefixTree
@@ -72,7 +70,7 @@ class SupportCounter(ABC):
         """Batched support counting; equals :meth:`count` exactly.
 
         The default falls back to the per-itemset path; TID-list
-        counters override it with the shared-prefix trie engine.
+        counters override it with the chunked bitset-row engine.
         """
         return self.count(itemsets, block_ids)
 
@@ -105,173 +103,20 @@ class PTScanCounter(SupportCounter):
 
 
 # ----------------------------------------------------------------------
-# The batched TID-list engine: fetch cache + shared-prefix trie
+# The batched TID-list engine: level-synchronous bitset rows, chunked
 # ----------------------------------------------------------------------
 
 #: A fetch key names one physical list: a bare ``int`` is a single-item
 #: list, an ``(a, b)`` tuple a materialized 2-itemset list.  The two
-#: never collide as dict keys, and plain ints keep the hot ECUT trie
-#: free of per-edge tuple allocation.
+#: never collide as dict keys.
 _FetchKey = Union[int, Pair]
 
-class _BlockFetchCache:
-    """Per-(batch, block) read-through cache over the TID-list stores.
-
-    The first use of a list fetches (and charges) it through the store;
-    every further use within the batch is served from the cache and
-    recorded as a cache hit on the same I/O counter — each distinct
-    physical list is charged exactly once per block, exactly what a
-    buffer pool large enough for one block's working set would do.
-    """
-
-    __slots__ = ("cached", "_tidlists", "_pairs", "_block_id", "_fetched_nbytes")
-
-    def __init__(
-        self,
-        tidlists: TidListStore,
-        block_id: int,
-        pairs: PairTidListStore | None = None,
-    ):
-        self._tidlists = tidlists
-        self._pairs = pairs
-        self._block_id = block_id
-        self._fetched_nbytes: dict[_FetchKey, int] = {}
-        #: Key → list map; the engines probe this dict directly on their
-        #: hot path and only call :meth:`fetch_new` / :meth:`record_hit`
-        #: on a miss / hit.
-        self.cached: dict[_FetchKey, TidList] = {}
-
-    def fetch_new(self, key: _FetchKey) -> TidList:
-        """Fetch (and charge) a list not yet in the cache."""
-        if type(key) is tuple:
-            assert self._pairs is not None
-            tids = self._pairs.fetch(self._block_id, key)
-        else:
-            tids = self._tidlists.fetch_list(self._block_id, key)
-        self._fetched_nbytes[key] = list_nbytes(tids)
-        self.cached[key] = tids
-        return tids
-
-    def record_hit(self, key: _FetchKey, tids: TidList) -> None:
-        """Account one re-use of an already-fetched list."""
-        store = self._pairs if type(key) is tuple else self._tidlists
-        assert store is not None
-        store.stats.record_cached_read(self._fetched_nbytes[key])
-
-    def get(self, key: _FetchKey) -> TidList:
-        tids = self.cached.get(key)
-        if tids is not None:
-            self.record_hit(key, tids)
-            return tids
-        return self.fetch_new(key)
-
-
-class _TrieNode:
-    """One node of the per-block fetch-key trie."""
-
-    __slots__ = ("children", "terminals")
-
-    def __init__(self) -> None:
-        self.children: dict[_FetchKey, _TrieNode] = {}
-        self.terminals: list[Itemset] = []
-
-
-def _build_trie(
-    sequences: Iterable[tuple[Itemset, Sequence[_FetchKey]]],
-) -> _TrieNode:
-    root = _TrieNode()
-    for itemset, keys in sequences:
-        node = root
-        for key in keys:
-            child = node.children.get(key)
-            if child is None:
-                child = _TrieNode()
-                node.children[key] = child
-            node = child
-        node.terminals.append(itemset)
-    return root
-
-
-def _zero_descendants(node: _TrieNode, counts: dict[Itemset, int]) -> None:
-    stack = list(node.children.values())
-    while stack:
-        child = stack.pop()
-        for itemset in child.terminals:
-            counts[itemset] = 0
-        stack.extend(child.children.values())
-
-
-def _count_trie(
-    root: _TrieNode, cache: _BlockFetchCache, block_size: int
-) -> dict[Itemset, int]:
-    """One DFS over the trie: every node's partial intersection is
-    computed once and shared by all of its descendants.
-
-    Two terminal-edge optimizations keep the per-candidate constant
-    below the per-itemset path's: a child with no grandchildren only
-    needs a *count*, never the intersection array, and all such sibling
-    leaves are counted in a single segmented kernel call
-    (:func:`~repro.itemsets.kernels.count_segments`) when the running
-    intersection and the leaf lists are plain arrays.
-    """
-    counts: dict[Itemset, int] = {}
-    stack: list[tuple[_TrieNode, TidList | None]] = [(root, None)]
-    while stack:
-        node, running = stack.pop()
-        if node.terminals:
-            support = block_size if running is None else len(running)
-            for itemset in node.terminals:
-                counts[itemset] = support
-        if not node.children:
-            continue
-        if running is not None and len(running) == 0:
-            # Subtrees below an empty intersection are all zero; skip
-            # their fetches entirely (the per-itemset path would have
-            # stopped fetching at this point too).
-            _zero_descendants(node, counts)
-            continue
-        # The segmented sibling-leaf kernel needs plain ndarrays on
-        # both sides; bitmap lists go through the representation-aware
-        # pair kernels instead.
-        running_is_array = isinstance(running, np.ndarray)
-        leaves: list[tuple[list[Itemset], TidList]] | None = None
-        for key, child in node.children.items():
-            tids = cache.get(key)
-            if child.children:
-                stack.append(
-                    (child, tids if running is None else intersect_pair(running, tids))
-                )
-            elif running is None:
-                # Depth-1 leaf: the candidate is a single list, its
-                # support is the list's catalog length.
-                support = len(tids)
-                for itemset in child.terminals:
-                    counts[itemset] = support
-            elif running_is_array and isinstance(tids, np.ndarray):
-                if leaves is None:
-                    leaves = []
-                leaves.append((child.terminals, tids))
-            else:
-                support = count_pair(running, tids)
-                for itemset in child.terminals:
-                    counts[itemset] = support
-        if leaves is not None:
-            if len(leaves) == 1:
-                terminals, tids = leaves[0]
-                supports = [count_pair(running, tids)]
-            else:
-                supports = count_segments(running, [tids for _, tids in leaves])
-            for (terminals, _), support in zip(leaves, supports):
-                for itemset in terminals:
-                    counts[itemset] = support
-    return counts
-
-
-#: Cap on the dense engine's scratch matrices, in cells ((distinct
-#: lists + candidates) × block transactions; one byte per cell).  64M
-#: cells = 64 MB; blocks whose matrices would be larger fall back to
-#: the per-node trie DFS.
-DENSE_MAX_CELLS = 1 << 26
+#: Byte budget of the dense engine's running intersections.  Candidates
+#: are evaluated in row chunks whose bitset rows (``ceil(block_size/64)``
+#: words each) fit in this budget, which bounds the scratch memory at
+#: every block size and candidate count.  The chunking changes neither
+#: the supports nor the fetch accounting.
+DENSE_CHUNK_BYTES = 1 << 20
 
 _PAD = np.iinfo(np.int64).max
 
@@ -280,7 +125,7 @@ class _SingleKeyAccountant:
     """Meters the dense engine's reads against the single-item store.
 
     Fetch charges and cache-hit audits are recorded in aggregate
-    (one call per block per depth), with totals identical to per-list
+    (one call each per block), with totals identical to per-list
     accounting.
     """
 
@@ -348,20 +193,30 @@ class _CoverKeyAccountant:
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
 
     def _row_popcounts(rows: np.ndarray) -> np.ndarray:
-        """Per-row set-bit counts of a packed uint8 matrix."""
+        """Per-row set-bit counts of a matrix of bitmap words."""
         return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
 
 else:  # pragma: no cover - exercised only on numpy < 2.0
     _POP8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
     def _row_popcounts(rows: np.ndarray) -> np.ndarray:
-        """Per-row set-bit counts of a packed uint8 matrix."""
-        return _POP8[rows].sum(axis=1, dtype=np.int64)
+        """Per-row set-bit counts of a matrix of bitmap words."""
+        return _POP8[rows.view(np.uint8)].sum(axis=1, dtype=np.int64)
+
+
+def _padded_rows(lengths: list[int], values: Iterable[int]) -> np.ndarray:
+    """A ``-1``-padded matrix whose row ``r`` holds the next
+    ``lengths[r]`` of ``values``."""
+    counts = np.asarray(lengths, dtype=np.int64)
+    rows = np.full((len(counts), max(1, int(counts.max()))), -1, dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < counts[:, None]] = np.fromiter(
+        values, dtype=np.int64, count=int(counts.sum())
+    )
+    return rows
 
 
 def _dense_count_block(
     S: np.ndarray,
-    last_col: np.ndarray,
     accountant: _SingleKeyAccountant | _CoverKeyAccountant,
     keys_matrix: np.ndarray,
     key_lens: np.ndarray,
@@ -372,18 +227,21 @@ def _dense_count_block(
     """Level-synchronous dense evaluation of one block's batch.
 
     ``S`` holds each candidate's fetch-key indices in per-block
-    rarest-first order (``-1``-padded); ``last_col[r]`` is the index of
-    candidate ``r``'s final key (``-1`` for the empty itemset).
-    ``keys_matrix[k]`` is key ``k``'s list as a packed bitset row (bit
-    ``t`` = "transaction ``t`` of the block contains this list",
-    gathered from the stores' packed-row caches), ``key_lens[k]`` its
-    catalog length, ``key_nbytes[k]`` its physical fetch size.  The
+    rarest-first order (``-1``-padded; an all ``-1`` row is the empty
+    itemset).  ``keys_matrix[k]`` is key ``k``'s list as a row of
+    bitmap words (bit ``t`` = "transaction ``t`` of the block contains
+    this list", packed by the stores for this call), ``key_lens[k]``
+    its catalog length, ``key_nbytes[k]`` its physical fetch size.  The
     candidates' running intersections are rows of a second bitset
-    matrix, advanced one trie level at a time: all partial
+    matrix, advanced one key depth at a time: all partial
     intersections of a depth are one fancy-indexed ``&``, all supports
     of a depth one row-popcount.  Python-level work per depth is a
     handful of numpy calls, and the per-depth data volume is one bit
     per (row, transaction).
+
+    The candidates are processed in row chunks of at most
+    :data:`DENSE_CHUNK_BYTES` of running rows, so the scratch memory is
+    bounded whatever the block size and candidate count.
 
     Pruning matches the per-itemset path exactly: a candidate's key at
     depth ``d`` is only charged while its depth ``d-1`` intersection
@@ -393,44 +251,42 @@ def _dense_count_block(
     charges, with ``bytes_read`` a deduplicated (≤) share of it.
     """
     n_keys = len(key_lens)
-    built = np.zeros(n_keys, dtype=bool)
-    running = np.empty((len(S), keys_matrix.shape[1]), dtype=np.uint8)
-    alive = last_col >= 0
-    supports[~alive] += block_size
-    for depth in range(S.shape[1]):
-        col = S[:, depth]
-        idx = np.flatnonzero(alive & (col >= 0))
-        if idx.size == 0:
-            break
-        ks = col[idx]
-        # bincount-based distinct/use counts: ks indexes a small dense
-        # key space, so this beats a sort-based np.unique.
-        all_uses = np.bincount(ks, minlength=n_keys)
-        uniq = np.flatnonzero(all_uses)
-        uses = all_uses[uniq]
-        new_mask = ~built[uniq]
-        new = uniq[new_mask]
-        if new.size:
-            built[new] = True
-            accountant.record_fetches(new, key_nbytes[new])
-        # Each use beyond the first fetch of a key is a cache hit.
-        accountant.record_hits(uniq, uses - new_mask, key_nbytes)
-        if depth == 0:
-            running[idx] = keys_matrix[ks]
-            counts = key_lens[ks]
-        else:
-            advanced = running[idx] & keys_matrix[ks]
-            running[idx] = advanced
-            counts = _row_popcounts(advanced)
-        done = last_col[idx] == depth
-        if done.any():
-            supports[idx[done]] += counts[done]
-        dead = counts == 0
-        if dead.any():
-            # An empty intersection zeroes the whole subtree: deeper
-            # keys of these candidates are never charged (the
-            # per-itemset path would have stopped fetching here too).
-            alive[idx[dead]] = False
+    # Key uses are summed over every depth of every chunk and charged
+    # once per block: a used key's first use is its one fetch, every
+    # further use a cache hit, whatever the chunking.
+    uses = np.zeros(n_keys, dtype=np.int64)
+    step = max(1, DENSE_CHUNK_BYTES // max(keys_matrix.shape[1] * 8, 1))
+    for start in range(0, len(S), step):
+        chunk = S[start : start + step]
+        sums = supports[start : start + step]
+        # Empty itemsets have no keys and count every transaction.
+        has_keys = chunk[:, 0] >= 0
+        sums[~has_keys] += block_size
+        idx = np.flatnonzero(has_keys)
+        ks = chunk[idx, 0]
+        uses += np.bincount(ks, minlength=n_keys)
+        counts = key_lens[ks]
+        # Row i of ``running`` is candidate ``idx[i]``'s intersection.
+        running = keys_matrix[ks]
+        for depth in range(1, chunk.shape[1]):
+            ks = chunk[idx, depth]
+            # A candidate is done at its last key, or as soon as its
+            # intersection is empty: its deeper keys are never charged
+            # (the per-itemset path stops fetching there too).
+            going = (ks >= 0) & (counts > 0)
+            if not going.all():
+                sums[idx[~going]] += counts[~going]
+                idx, ks, counts = idx[going], ks[going], counts[going]
+                if idx.size == 0:
+                    break
+                running = running[going]
+            uses += np.bincount(ks, minlength=n_keys)
+            running &= keys_matrix[ks]
+            counts = _row_popcounts(running)
+        sums[idx] += counts
+    used = np.flatnonzero(uses)
+    accountant.record_fetches(used, key_nbytes[used])
+    accountant.record_hits(used, uses[used] - 1, key_nbytes)
 
 
 def _contiguous_shards(
@@ -502,11 +358,11 @@ class ECUTCounter(SupportCounter):
     def count_batch(
         self, itemsets: Collection[Itemset], block_ids: Sequence[int]
     ) -> dict[Itemset, int]:
-        """Batched ECUT: per block, a rarest-first shared-prefix trie.
+        """Batched ECUT: per block, rarest-first rows of the dense engine.
 
         Orders every itemset's items rarest-first (the same order the
         per-itemset path fetches in), so itemsets sharing rare items
-        share both the fetches and the partial intersections.
+        share the fetches of their lists.
         """
         counts = {itemset: 0 for itemset in itemsets}
         if not counts:
@@ -526,24 +382,16 @@ class ECUTCounter(SupportCounter):
                 return counts
         item_index = {item: k for k, item in enumerate(items)}
         n = len(targets)
-        width = max(1, max(len(itemset) for itemset in targets))
-        T = np.full((n, width), -1, dtype=np.int64)
-        for r, itemset in enumerate(targets):
-            for c, item in enumerate(itemset):
-                T[r, c] = item_index[item]
-        last_col = np.fromiter(
-            (len(itemset) - 1 for itemset in targets), dtype=np.int64, count=n
+        T = _padded_rows(
+            [len(itemset) for itemset in targets],
+            (item_index[item] for itemset in targets for item in itemset),
         )
         supports = np.zeros(n, dtype=np.int64)
+        # One rank slot past the items: the -1 padding indexes it.
+        rank = np.full(len(items) + 1, _PAD, dtype=np.int64)
         item_arange = np.arange(len(items), dtype=np.int64)
         items_array = np.asarray(items, dtype=np.int64)
         for block_id in block_ids:
-            block_size = self._tidlists.block_size(block_id)
-            if (len(items) + n) * block_size > DENSE_MAX_CELLS:
-                # Oversized blocks fall back to the per-node trie DFS
-                # for scratch-size reasons.
-                self._count_block_trie(targets, block_id, supports)
-                continue
             # Rank items by (per-block count, item): `items` is sorted,
             # so the index is the tie-break — exactly the stable
             # count-sort the per-itemset path applies, which keeps the
@@ -551,23 +399,19 @@ class ECUTCounter(SupportCounter):
             keys_matrix, block_counts, key_nbytes = self._tidlists.packed_rows(
                 block_id, items_array
             )
-            rank = block_counts * len(items) + item_arange
-            keyed = np.where(T >= 0, rank[T], _PAD)
-            order = np.argsort(keyed, axis=1, kind="stable")
+            rank[:-1] = block_counts * len(items) + item_arange
+            order = np.argsort(rank[T], axis=1, kind="stable")
             S = np.take_along_axis(T, order, axis=1)
             _dense_count_block(
                 S,
-                last_col,
                 _SingleKeyAccountant(self._tidlists.stats),
                 keys_matrix,
                 block_counts,
                 key_nbytes,
-                block_size,
+                self._tidlists.block_size(block_id),
                 supports,
             )
-        for r, itemset in enumerate(targets):
-            counts[itemset] = int(supports[r])
-        return counts
+        return dict(zip(targets, supports.tolist()))
 
     def _count_batch_sharded(
         self, targets: list[Itemset], block_ids: list[int], pool: Any
@@ -601,24 +445,6 @@ class ECUTCounter(SupportCounter):
             for index, value in enumerate(vector):
                 totals[index] += value
         return totals
-
-    def _count_block_trie(
-        self, targets: list[Itemset], block_id: int, supports: np.ndarray
-    ) -> None:
-        """Per-node trie DFS fallback for blocks too large to densify."""
-        rarity = self._tidlists.item_counts(
-            block_id, {item for itemset in targets for item in itemset}
-        )
-        sequences = [
-            (itemset, sorted(itemset, key=rarity.__getitem__))
-            for itemset in targets
-        ]
-        cache = _BlockFetchCache(self._tidlists, block_id)
-        block_counts = _count_trie(
-            _build_trie(sequences), cache, self._tidlists.block_size(block_id)
-        )
-        for r, itemset in enumerate(targets):
-            supports[r] += block_counts[itemset]
 
 
 class ECUTPlusCounter(SupportCounter):
@@ -670,12 +496,12 @@ class ECUTPlusCounter(SupportCounter):
     def count_batch(
         self, itemsets: Collection[Itemset], block_ids: Sequence[int]
     ) -> dict[Itemset, int]:
-        """Batched ECUT+: per block, covers feed the shared-prefix trie.
+        """Batched ECUT+: per block, covers feed the dense engine.
 
         Every itemset's :func:`plan_cover` result (against the block's
         materialized pairs) becomes a sequence of fetch keys, ordered
         shortest-list-first; itemsets whose covers share pairs or rare
-        singles share fetches and partial intersections.
+        singles share their fetches.
         """
         counts = {itemset: 0 for itemset in itemsets}
         if not counts:
@@ -697,30 +523,18 @@ class ECUTPlusCounter(SupportCounter):
             ]
             block_size = self._tidlists.block_size(block_id)
             key_index: dict[_FetchKey, int] = {}
-            width = max(1, max(len(keys) for keys in sequences))
-            S = np.full((n, width), -1, dtype=np.int64)
-            for r, keys in enumerate(sequences):
-                for c, key in enumerate(keys):
-                    ki = key_index.get(key)
-                    if ki is None:
-                        ki = len(key_index)
-                        key_index[key] = ki
-                    S[r, c] = ki
-            if (len(key_index) + n) * block_size > DENSE_MAX_CELLS:
-                cache = _BlockFetchCache(self._tidlists, block_id, self._pairs)
-                block_counts = _count_trie(
-                    _build_trie(zip(targets, sequences)), cache, block_size
-                )
-                for r, itemset in enumerate(targets):
-                    supports[r] += block_counts[itemset]
-                continue
-            last_col = np.fromiter(
-                (len(keys) - 1 for keys in sequences), dtype=np.int64, count=n
+            S = _padded_rows(
+                [len(keys) for keys in sequences],
+                (
+                    key_index.setdefault(key, len(key_index))
+                    for keys in sequences
+                    for key in keys
+                ),
             )
             keys = list(key_index)
             n_keys = len(keys)
-            width = (block_size + 7) >> 3
-            keys_matrix = np.zeros((n_keys, width), dtype=np.uint8)
+            n_words = (block_size + 63) >> 6
+            keys_matrix = np.zeros((n_keys, n_words), dtype=np.uint64)
             key_lens = np.zeros(n_keys, dtype=np.int64)
             key_nbytes = np.zeros(n_keys, dtype=np.int64)
             single_pos = [k for k, key in enumerate(keys) if type(key) is not tuple]
@@ -753,7 +567,6 @@ class ECUTPlusCounter(SupportCounter):
                 key_nbytes[pp] = pair_lens[rows] * TID_BYTES
             _dense_count_block(
                 S,
-                last_col,
                 _CoverKeyAccountant(self._tidlists, self._pairs, keys),
                 keys_matrix,
                 key_lens,

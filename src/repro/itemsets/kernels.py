@@ -17,8 +17,12 @@ everywhere else in ``src/repro``:
   is a word-wise AND + popcount, and a bitmap∧sorted-array hybrid
   probes each array element against the bitmap in ``O(|array|)``.
 * :func:`intersect_pair` / :func:`intersect_many` — the adaptive
-  dispatcher the stores and counters use; :func:`force_kernel` pins the
-  array∧array choice for ablation benchmarks.
+  dispatcher of the per-itemset counting path; :func:`force_kernel`
+  pins the array∧array choice for ablation benchmarks.
+* :func:`pack_rows` — packs lists of either representation into the
+  bitmap-word rows that the batched engine
+  (:meth:`~repro.itemsets.counting.ECUTCounter.count_batch`) ANDs level
+  by level; the batched engine needs no pairwise kernel.
 
 The representations carry their *physical* size so the byte-metered I/O
 accounting (``storage/iostats.py``) charges what a disk would serve:
@@ -76,6 +80,11 @@ else:  # pragma: no cover - exercised only on numpy < 2.0
 
 def _empty() -> np.ndarray:
     return np.empty(0, dtype=TID_DTYPE)
+
+
+#: The empty TID-list, shared read-only.
+EMPTY_TIDS = _empty()
+EMPTY_TIDS.flags.writeable = False
 
 
 class BitmapTidList:
@@ -212,82 +221,56 @@ def intersect_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return intersect_merge(small, large)
 
 
-def count_arrays(a: np.ndarray, b: np.ndarray) -> int:
-    """``len(intersect_arrays(a, b))`` without materializing the result.
-
-    Terminal trie edges in the batched counter only need the support
-    count, which saves the final fancy-index of each kernel.
-    """
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    if len(small) == 0:
-        return 0
-    if _FORCED_KERNEL != "merge" and (
-        _FORCED_KERNEL == "gallop" or len(large) >= GALLOP_RATIO * len(small)
-    ):
-        positions = np.searchsorted(large, small)
-        return int(
-            np.count_nonzero(np.take(large, positions, mode="clip") == small)
-        )
-    merged = np.concatenate((small, large))
-    merged.sort(kind="stable")
-    return int(np.count_nonzero(merged[:-1] == merged[1:]))
-
-
-def count_segments(running: np.ndarray, probes: Sequence[np.ndarray]) -> list[int]:
-    """``[count_arrays(running, p) for p in probes]`` in one numpy pass.
-
-    All probe arrays are concatenated and searched into ``running``
-    together; per-probe hit counts fall out of a prefix sum over the
-    match mask.  Empty probes are allowed and count zero.  This is the
-    sibling-leaf kernel of the batched counter: one call replaces
-    ``len(probes)`` separate intersections.
-    """
-    if not probes:
-        return []
-    if len(running) == 0:
-        return [0] * len(probes)
-    if _FORCED_KERNEL == "merge":
-        # Keep the ablation honest: forcing the merge kernel disables
-        # the searchsorted-based segmented fast path too.
-        return [count_arrays(running, p) for p in probes]
-    sizes = np.fromiter((len(p) for p in probes), dtype=np.intp, count=len(probes))
-    if int(sizes.sum()) == 0:
-        return [0] * len(probes)
-    concatenated = np.concatenate(probes)
-    positions = np.searchsorted(running, concatenated)
-    hits = np.take(running, positions, mode="clip") == concatenated
-    prefix = np.concatenate(([0], np.cumsum(hits)))
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    return (prefix[bounds[1:]] - prefix[bounds[:-1]]).tolist()
+#: Tids scattered per step of :func:`pack_rows`; bounds its scratch
+#: (about 32 bytes per tid) at a few tens of megabytes.
+PACK_CHUNK_TIDS = 1 << 20
 
 
 def pack_rows(
-    arrays: Sequence[np.ndarray], base_tid: int, block_size: int
+    lists: Sequence[TidList], base_tid: int, block_size: int
 ) -> np.ndarray:
-    """Pack sorted tid arrays of one block into bitset rows.
+    """Pack one block's TID-lists into bitset rows of words.
 
-    Row ``r`` holds ``arrays[r]`` as a little-endian packed bitset (bit
-    ``t`` = "tid ``base_tid + t`` present"), byte-compatible with
-    :attr:`BitmapTidList.words` viewed as bytes.  The scatter goes
-    through a boolean staging buffer processed in bounded-size chunks,
-    so packing a whole block's catalog never allocates more than a few
-    megabytes of scratch.
+    Row ``r`` holds ``lists[r]`` in the layout of
+    :attr:`BitmapTidList.words`: ``ceil(block_size / 64)`` ``uint64``
+    words, bit ``t % 64`` of word ``t // 64`` set when tid
+    ``base_tid + t`` is present.  Bitmap lists contribute their words.
+    Each tid of a sorted array adds its bit into its byte with one
+    unbuffered ``np.add.at``; the tids of a list are distinct, so
+    adding their bits is OR-ing them.  Arrays are scattered in runs of
+    about :data:`PACK_CHUNK_TIDS` tids, so the scratch stays bounded
+    however many rows are packed.
     """
-    width = (block_size + 7) >> 3
-    out = np.empty((len(arrays), width), dtype=np.uint8)
-    chunk = max(1, (1 << 23) // max(block_size, 1))
-    for start in range(0, len(arrays), chunk):
-        part = arrays[start : start + chunk]
-        buf = np.zeros((len(part), block_size), dtype=bool)
-        flat = np.concatenate(part) - base_tid
-        flat += np.repeat(
-            np.arange(len(part), dtype=np.int64) * block_size,
-            [len(a) for a in part],
+    n_words = (block_size + WORD_BITS - 1) // WORD_BITS
+    n = len(lists)
+    out = np.zeros((n, n_words), dtype=np.uint64)
+    # Scatter into the bytes of the little-endian words: byte ``b >> 3``
+    # of the flattened rows holds bit ``b``.
+    flat = out.reshape(-1).view(np.uint8)
+    arrays = [tids if isinstance(tids, np.ndarray) else EMPTY_TIDS for tids in lists]
+    sizes = np.fromiter(map(len, arrays), dtype=np.int64, count=n)
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < n:
+        done = int(ends[start - 1]) if start else 0
+        stop = max(
+            start + 1,
+            int(np.searchsorted(ends, done + PACK_CHUNK_TIDS, side="right")),
         )
-        buf.flat[flat] = True
-        out[start : start + len(part)] = np.packbits(
-            buf, axis=1, bitorder="little"
+        # Bit positions in the flattened rows: the tid's offset in the
+        # block plus its row's first bit.
+        bit = np.concatenate(arrays[start:stop])
+        bit += np.repeat(
+            np.arange(start, stop, dtype=np.int64) * (n_words * WORD_BITS)
+            - base_tid,
+            sizes[start:stop],
         )
+        low = bit.astype(np.uint8) & np.uint8(7)
+        np.add.at(flat, bit >> 3, np.left_shift(np.uint8(1), low))
+        start = stop
+    for r, tids in enumerate(lists):
+        if isinstance(tids, BitmapTidList):
+            out[r] = tids.words
     return out
 
 
@@ -338,24 +321,6 @@ def intersect_pair(a: TidList, b: TidList) -> TidList:
     if b_dense:
         return intersect_bitmap_array(b, a)
     return intersect_arrays(a, b)
-
-
-def count_pair(a: TidList, b: TidList) -> int:
-    """``len(intersect_pair(a, b))`` without materializing the result."""
-    a_dense = isinstance(a, BitmapTidList)
-    b_dense = isinstance(b, BitmapTidList)
-    if a_dense and b_dense:
-        if a.base != b.base or a.size != b.size:
-            raise ValueError("bitmap intersection requires lists of the same block")
-        return _popcount(a.words & b.words)
-    if a_dense or b_dense:
-        bitmap, array = (a, b) if a_dense else (b, a)
-        if len(array) == 0:
-            return 0
-        offsets = (array - bitmap.base).astype(np.uint64)
-        hits = (bitmap.words[offsets >> np.uint64(6)] >> (offsets & np.uint64(63))) & 1
-        return int(hits.sum())
-    return count_arrays(a, b)
 
 
 def intersect_many(lists: Sequence[TidList]) -> TidList:

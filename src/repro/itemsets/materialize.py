@@ -155,12 +155,13 @@ class PairTidListStore:
     ) -> tuple[dict[Pair, int], np.ndarray, np.ndarray]:
         """Lazily-built (pair → row, bitset rows, lengths) per block.
 
-        The batched counting engine's bulk access path, mirroring
-        :meth:`TidListStore.packed_rows`: the rows are packed once per
-        block (``ceil(block_size / 8)`` bytes per pair), dropped with
-        the block, and fetch charges stay metered per batch by the
-        engine.  Pair lists are always sorted arrays, so the physical
-        size of row ``r`` is ``TID_BYTES * lens[r]``.
+        The batched counting engine's bulk access path for pair keys.
+        Unlike :meth:`TidListStore.packed_rows`, which packs per call,
+        the rows are packed once per block (``ceil(block_size / 64)``
+        words per pair) and dropped with the block; fetch charges stay
+        metered per batch by the engine.  Pair lists are always sorted
+        arrays, so the physical size of row ``r`` is
+        ``TID_BYTES * lens[r]``.
         """
         packed = self._packed.get(block_id)
         if packed is None:
@@ -168,10 +169,10 @@ class PairTidListStore:
             if block_lists is None:
                 # Not materialized yet: a transient empty result, not
                 # cached — it would go stale when the block arrives.
-                width = (block_size + 7) >> 3
+                n_words = (block_size + 63) >> 6
                 return (
                     {},
-                    np.zeros((0, width), dtype=np.uint8),
+                    np.zeros((0, n_words), dtype=np.uint64),
                     np.zeros(0, dtype=np.int64),
                 )
             base = self._base_tids.get(block_id, 0)

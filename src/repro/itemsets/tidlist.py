@@ -40,6 +40,8 @@ from repro.itemsets.kernels import (
     BITMAP_DENSITY,
     BITMAP_MIN_BLOCK,
     BitmapTidList,
+    EMPTY_TIDS,
+    WORD_BYTES,
     TidList,
     as_array,
     intersect_many,
@@ -93,8 +95,6 @@ class TidListStore:
         self._lists: dict[int, dict[int, TidList]] = {}
         self._block_sizes: dict[int, int] = {}
         self._base_tids: dict[int, int] = {}
-        self._catalogs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._packed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._sources: dict[int, Block[Transaction]] = {}
         self._next_tid = 0
 
@@ -160,7 +160,7 @@ class TidListStore:
 
         The session calls this through the maintainer's
         ``release_block`` when the block slides out of the most recent
-        window: the lists, their catalogs, and the source handle all go.
+        window: the lists, their sizes, and the source handle all go.
         Idempotent and safe for unknown block ids.  The method keeps its
         historical name because the end-to-end benchmark's ledger binds
         ``TidListStore.compress_block`` for its ``tidlist.compress``
@@ -169,8 +169,6 @@ class TidListStore:
         self._lists.pop(block_id, None)
         self._block_sizes.pop(block_id, None)
         self._base_tids.pop(block_id, None)
-        self._catalogs.pop(block_id, None)
-        self._packed.pop(block_id, None)
         self._sources.pop(block_id, None)
 
     def source_block(self, block_id: int) -> Block[Transaction] | None:
@@ -189,21 +187,14 @@ class TidListStore:
         # Block handles are backend-bound execution state: pickling
         # them would materialize every block into the checkpoint (and
         # make its bytes depend on registration order of live handles).
-        # The packed-row catalogs are lazy caches derived from
-        # ``_lists`` — persisting them would make checkpoint bytes
-        # depend on which process happened to count which block (the
-        # sharded path builds them worker-side).  The TID-lists
-        # themselves are self-contained and are what persists.
+        # The TID-lists themselves are self-contained and are what
+        # persists.
         state = dict(self.__dict__)
         state["_sources"] = {}
-        state["_catalogs"] = {}
-        state["_packed"] = {}
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         state.setdefault("_sources", {})
-        state.setdefault("_catalogs", {})
-        state.setdefault("_packed", {})
         self.__dict__.update(state)
 
     def _block_lists(self, block_id: int) -> dict[int, TidList]:
@@ -264,109 +255,30 @@ class TidListStore:
             result[item] = 0 if tids is None else len(tids)
         return result
 
-    def _catalog(self, block_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lazily-built (sorted items, lengths) arrays for one block.
-
-        Blocks are immutable once materialized, so the catalog is built
-        at most once per block and dropped with the block.
-        """
-        catalog = self._catalogs.get(block_id)
-        if catalog is None:
-            block_lists = self._block_lists(block_id)
-            items = np.fromiter(
-                block_lists.keys(), dtype=np.int64, count=len(block_lists)
-            )
-            counts = np.fromiter(
-                (len(tids) for tids in block_lists.values()),
-                dtype=np.int64,
-                count=len(block_lists),
-            )
-            order = np.argsort(items)
-            catalog = (items[order], counts[order])
-            self._catalogs[block_id] = catalog
-        return catalog
-
-    def item_counts_array(self, block_id: int, items: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`item_counts`: lengths aligned to ``items``.
-
-        One ``searchsorted`` against the cached per-block catalog —
-        the batched counting engine asks for hundreds of lengths per
-        block, where a Python-loop lookup would dominate its runtime.
-        Items absent from the block get length 0.
-        """
-        cat_items, cat_counts = self._catalog(block_id)
-        if len(cat_items) == 0:
-            return np.zeros(len(items), dtype=np.int64)
-        pos = np.searchsorted(cat_items, items)
-        found = np.take(cat_items, pos, mode="clip") == items
-        return np.where(found, np.take(cat_counts, pos, mode="clip"), 0)
-
-    def _packed_catalog(self, block_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lazily-built (packed bitset rows, physical sizes) per block.
-
-        Row ``r`` is the bitset of catalog item ``r``'s list; bitmap
-        lists contribute their words directly, arrays are packed once
-        via :func:`~repro.itemsets.kernels.pack_rows`.  The cache costs
-        ``ceil(block_size / 8)`` bytes per catalog item, is built on
-        first batched count against the block, and is dropped with the
-        block.  It is a decoded in-memory representation only — fetch
-        *charges* are still metered per batch by the counting engine.
-        """
-        packed = self._packed.get(block_id)
-        if packed is None:
-            cat_items, cat_counts = self._catalog(block_id)
-            block_lists = self._block_lists(block_id)
-            size = self._block_sizes[block_id]
-            base = self._base_tids[block_id]
-            width = (size + 7) >> 3
-            matrix = np.zeros((len(cat_items), width), dtype=np.uint8)
-            nbytes = cat_counts * TID_BYTES
-            arrays: list[np.ndarray] = []
-            rows: list[int] = []
-            for r, item in enumerate(cat_items.tolist()):
-                tids = block_lists[item]
-                if isinstance(tids, BitmapTidList):
-                    nbytes[r] = tids.nbytes
-                    matrix[r] = tids.words.view(np.uint8)[:width]
-                else:
-                    arrays.append(tids)
-                    rows.append(r)
-            if arrays:
-                matrix[np.asarray(rows, dtype=np.int64)] = pack_rows(
-                    arrays, base, size
-                )
-            matrix.flags.writeable = False
-            nbytes.flags.writeable = False
-            packed = (matrix, nbytes)
-            self._packed[block_id] = packed
-        return packed
-
     def packed_rows(
         self, block_id: int, items: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bitset rows, lengths, and physical sizes aligned to ``items``.
+        """Bitmap-word rows, lengths, and physical sizes aligned to ``items``.
 
-        The batched counting engine's bulk access path: one catalog
-        lookup per call instead of one store fetch per list.  Items
-        absent from the block get an all-zero row and size 0.  Returns
-        fresh (writable) arrays; the underlying cache is frozen.
+        The batched counting engine's bulk access path: one call per
+        block instead of one store fetch per list.  Only the requested
+        items are packed, on every call, by
+        :func:`~repro.itemsets.kernels.pack_rows`, so the store keeps no
+        per-block packed state.  Items absent from the block get an
+        all-zero row and size 0.  Returns fresh (writable) arrays; the
+        fetch *charges* are metered by the counting engine.
         """
-        cat_items, cat_counts = self._catalog(block_id)
-        matrix, cat_nbytes = self._packed_catalog(block_id)
-        n = len(items)
-        if len(cat_items) == 0:
-            width = (self._block_sizes[block_id] + 7) >> 3
-            return (
-                np.zeros((n, width), dtype=np.uint8),
-                np.zeros(n, dtype=np.int64),
-                np.zeros(n, dtype=np.int64),
-            )
-        pos = np.minimum(np.searchsorted(cat_items, items), len(cat_items) - 1)
-        found = cat_items[pos] == items
-        rows = matrix[pos]
-        rows[~found] = 0
-        lens = np.where(found, cat_counts[pos], 0)
-        nbytes = np.where(found, cat_nbytes[pos], 0)
+        block_lists = self._block_lists(block_id)
+        size = self._block_sizes[block_id]
+        lists = [block_lists.get(item, EMPTY_TIDS) for item in items.tolist()]
+        rows = pack_rows(lists, self._base_tids[block_id], size)
+        lens = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        # Physical sizes: TID_BYTES per tid of an array, and a bitmap's
+        # words, which are exactly one packed row.
+        nbytes = lens * TID_BYTES
+        nbytes[[isinstance(tids, BitmapTidList) for tids in lists]] = (
+            rows.shape[1] * WORD_BYTES
+        )
         return rows, lens, nbytes
 
     def nbytes(self, block_id: int) -> int:

@@ -175,21 +175,31 @@ class TestReadOnlyMaterialization:
         assert not dense.words.flags.writeable
 
     def test_packed_catalog_is_frozen_but_rows_are_fresh(self):
-        store = store_with_blocks()
-        import numpy as np
+        """``packed_rows`` packs on every call: the rows are fresh
+        writable copies, the store's lists stay frozen, and the call
+        leaves no per-block state behind."""
+        import pickle
 
+        from repro.itemsets.kernels import BitmapTidList
+
+        store = store_with_blocks()
+        store.materialize_block(make_block(7, [(1,)] * 128 + [(2,)] * 8))
+        assert isinstance(store._lists[7][1], BitmapTidList)
+        pickled = pickle.dumps(store)
         items = np.array([1, 2, 3], dtype=np.int64)
-        rows, lens, nbytes = store.packed_rows(1, items)
-        # Returned arrays are per-call copies the engine may mutate...
-        assert rows.flags.writeable
-        rows[:] = 0  # demonlint: disable=DML010 (packed_rows rows are per-call copies; this asserts exactly that)
-        # ...while the underlying cache stays intact and frozen.
-        matrix, cached_nbytes = store._packed_catalog(1)
-        assert not matrix.flags.writeable
-        assert not cached_nbytes.flags.writeable
-        again, lens2, _ = store.packed_rows(1, items)
-        assert again.any()
-        assert lens2.tolist() == lens.tolist()
+        for block_id in (1, 7):
+            rows, lens, nbytes = store.packed_rows(block_id, items)
+            assert rows.flags.writeable
+            assert lens.flags.writeable and nbytes.flags.writeable
+            rows[:] = 0  # demonlint: disable=DML010 (packed_rows rows are per-call copies; this asserts exactly that)
+            again, lens2, _ = store.packed_rows(block_id, items)
+            assert again.any()
+            assert lens2.tolist() == lens.tolist()
+        assert pickle.dumps(store) == pickled
+        for block_lists in store._lists.values():
+            for tids in block_lists.values():
+                array = tids.words if isinstance(tids, BitmapTidList) else tids
+                assert not array.flags.writeable
 
     def test_packed_rows_absent_items_are_zero(self):
         store = store_with_blocks()

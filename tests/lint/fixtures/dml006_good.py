@@ -1,10 +1,10 @@
 """DML006 fixture: intersections routed through the kernel module."""
 
-from repro.itemsets.kernels import count_arrays, intersect_arrays
+from repro.itemsets.kernels import intersect_arrays, intersect_many
 
 
 def count_via_kernels(a, b):
-    return count_arrays(a, b)
+    return len(intersect_many([a, b]))
 
 
 def intersect_via_kernels(a, b):

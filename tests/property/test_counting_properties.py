@@ -7,6 +7,7 @@ every unbatched read resurfaces as either one physical read or one
 cache hit, and read + cached bytes add up to the unbatched bytes.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,18 +95,32 @@ class TestBatchedECUT:
         )
 
     @settings(max_examples=25, deadline=None)
-    @given(blocks_strategy, targets_strategy)
-    def test_trie_fallback_agrees(self, raw, targets):
+    @given(blocks_strategy, targets_strategy, st.integers(min_value=1, max_value=70))
+    def test_chunked_engine_agrees(self, raw, targets, budget):
+        """These blocks of 1-20 transactions have one-word (8-byte) rows,
+        so a chunk budget of ``budget`` bytes holds one to eight rows:
+        chunks split the batch unevenly or into single rows.  Counts and
+        both accounting sums still equal the per-itemset path's."""
         blocks, context = build(raw)
         counter = ECUTCounter(context.tidlists)
         block_ids = [b.block_id for b in blocks]
+        stats = context.tidlists.stats
+
+        before = stats.snapshot()
         expected = counter.count(targets, block_ids)
-        original = counting.DENSE_MAX_CELLS
-        counting.DENSE_MAX_CELLS = 0
-        try:
-            assert counter.count_batch(targets, block_ids) == expected
-        finally:
-            counting.DENSE_MAX_CELLS = original
+        unbatched = stats.delta_since(before)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(counting, "DENSE_CHUNK_BYTES", budget)
+            before = stats.snapshot()
+            got = counter.count_batch(targets, block_ids)
+            batched = stats.delta_since(before)
+
+        assert got == expected
+        assert batched.reads + batched.cache_hits == unbatched.reads
+        assert (
+            batched.bytes_read + batched.bytes_cached == unbatched.bytes_read
+        )
 
 
 class TestBatchedECUTPlus:

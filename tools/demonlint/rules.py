@@ -688,7 +688,7 @@ class IntersectKernelRule(Rule):
                     message=(
                         "np.intersect1d re-sorts its already-sorted inputs; "
                         "use repro.itemsets.kernels (intersect_pair / "
-                        "intersect_many / count_arrays) so the adaptive "
+                        "intersect_many) so the adaptive "
                         "gallop/merge/bitmap dispatch stays in one place"
                     ),
                 )
