@@ -14,7 +14,6 @@ Run:  pytest benchmarks/bench_fig2_counting.py --benchmark-only -s
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
@@ -26,8 +25,6 @@ from repro.itemsets.borders import BordersMaintainer, ItemsetMiningContext
 from repro.itemsets.counting import ECUTCounter, ECUTPlusCounter, PTScanCounter
 from repro.itemsets.kernels import force_kernel
 from repro.itemsets.model import FrequentItemsetModel
-from repro.parallel.pool import WorkerPool, shutdown_workers
-from repro.storage.engine import MmapBackend
 from repro.storage.telemetry import Telemetry
 
 DATASETS = {
@@ -335,124 +332,3 @@ def test_fig2_kernel_ablation(benchmark):
         # never dramatically worse (2x guards against dispatch bugs
         # while tolerating laptop-scale timing noise).
         assert times[(dataset, "adaptive")] <= pinned_best * 2.0
-
-
-WORKER_COUNTS = (1, 2, 4, 8)
-
-
-def test_fig2_worker_scaling(benchmark, tmp_path):
-    """Ablation: sharded ECUT counting over a worker pool, 1/2/4/8.
-
-    Blocks live on the mmap backend so shard payloads are zero-copy —
-    workers reopen the on-disk columns by path and only the count
-    vectors cross the pipe.  Supports must equal the serial run exactly
-    (TID-list additivity); wall clock is emitted per worker count with
-    the machine's honest ``cpu_count``, and the hard >= 2x speedup gate
-    applies only where 4 workers can actually run in parallel (the CI
-    runner has 4 vCPUs; a 1-core laptop emits rows and skips).
-
-    The workload is deliberately fatter than the fig. 2 cells — 8
-    blocks of >= 20K transactions and ~1200 counting targets — so each
-    shard carries tens of milliseconds of intersection work and the
-    measurement exercises the engine, not executor dispatch.
-    """
-    from benchmarks.common import SCALE, scaled
-    from repro.datagen.quest import QuestGenerator, QuestParams
-
-    n_blocks = 8
-    per_block = max(scaled(4_000_000), 20_000)
-    params = QuestParams.from_name(DATASETS["4M"], scale=SCALE)
-    generator = QuestGenerator(params, seed=2)
-    backend = MmapBackend(root=str(tmp_path))
-    try:
-        blocks = [
-            backend.ingest(i + 1, generator.iter_transactions(per_block))
-            for i in range(n_blocks)
-        ]
-        context = ItemsetMiningContext()
-        maintainer = BordersMaintainer(MINSUP, context, counter="ecut")
-        for block in blocks:
-            maintainer.register_block(block)
-        rng = random.Random(7)
-        itemsets = sorted(
-            {tuple(sorted(rng.sample(range(40), 3))) for _ in range(1300)}
-        )
-        block_ids = [block.block_id for block in blocks]
-        counter = maintainer.counter
-        assert isinstance(counter, ECUTCounter)
-
-        from repro.parallel.shards import block_ref, count_shard
-
-        warm_refs = tuple(
-            block_ref(context.tidlists.source_block(block_id))
-            for block_id in block_ids
-        )
-
-        def sweep():
-            times: dict[int, float] = {}
-            baseline = None
-            for workers in WORKER_COUNTS:
-                pool = WorkerPool(workers)
-                counter.bind_pool(pool)
-                if workers > 1:
-                    # Deterministic warm-up: every executor worker
-                    # rebuilds every block's TID-list store once.  All
-                    # workers are idle when these simultaneous slow
-                    # tasks land, so they spread one per worker — after
-                    # this, measured rounds never pay a cold store
-                    # build regardless of which worker the scheduler
-                    # hands which shard.
-                    pool.run(
-                        count_shard, [((itemsets[0],), warm_refs)] * workers
-                    )
-                counter.count_batch(itemsets, block_ids)
-                elapsed, counts = _best_of(
-                    lambda: counter.count_batch(itemsets, block_ids), rounds=3
-                )
-                if baseline is None:
-                    baseline = counts
-                assert counts == baseline, (
-                    f"sharded counting at {workers} workers changed supports"
-                )
-                times[workers] = elapsed
-            counter.bind_pool(None)
-            return times
-
-        try:
-            times = benchmark.pedantic(sweep, rounds=1, iterations=1)
-        finally:
-            counter.bind_pool(None)
-            shutdown_workers()
-    finally:
-        backend.close()
-
-    cpu_count = os.cpu_count() or 1
-    rows = []
-    for workers in WORKER_COUNTS:
-        speedup = times[1] / times[workers]
-        rows.append([workers, fmt_ms(times[workers]), f"{speedup:.2f}x"])
-        emit_json(
-            "fig2_worker_scaling",
-            workers=workers,
-            seconds=times[workers],
-            speedup=speedup,
-            n_itemsets=len(itemsets),
-            n_blocks=n_blocks,
-            cpu_count=cpu_count,
-        )
-    print_table(
-        f"Figure 2 addendum: sharded ECUT counting "
-        f"(|S| = {len(itemsets)}, {n_blocks} mmap blocks, "
-        f"{cpu_count} cores)",
-        ["workers", "ms", "speedup"],
-        rows,
-    )
-    if cpu_count < 4:
-        pytest.skip(
-            f"worker-speedup gate needs >= 4 cores, machine has {cpu_count}"
-        )
-    assert times[1] / times[4] >= 2.0, (
-        f"4-worker sharded counting only "
-        f"{times[1] / times[4]:.2f}x faster than serial on "
-        f"{cpu_count} cores; the parallel engine claims >= 2x"
-    )

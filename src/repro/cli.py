@@ -84,9 +84,9 @@ def _add_monitor(subparsers) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for sharded maintenance "
-        "(default: DEMON_WORKERS or 1 = serial); results are "
-        "byte-identical to a serial run",
+        help="worker processes for GEMM's off-line model updates under "
+        "a most-recent window (default: DEMON_WORKERS or 1 = serial); "
+        "results are byte-identical to a serial run",
     )
     parser.add_argument(
         "--scheduler", choices=["eager", "deviation"], default=None,

@@ -88,7 +88,7 @@ class GEMMUpdateReport:
     offline_seconds: float = 0.0
 
 
-class GEMM(Generic[TModel, T]):
+class GEMM(Generic[TModel, T]):  # demonlint: disable=DML008 (``_pool`` is execution wiring and never rides in a checkpoint; like the telemetry binding, it survives load_state_dict)
     """Most-recent-window model maintenance via Algorithm 3.1.
 
     Args:
@@ -152,7 +152,7 @@ class GEMM(Generic[TModel, T]):
         adopts the returned model pickles byte-for-byte.  The critical
         update always runs in-process — it is the response-time path.
         ``None`` detaches.  The pool is deliberately not part of
-        :meth:`state_dict`.
+        :meth:`state_dict`, and :meth:`load_state_dict` keeps it bound.
         """
         self._pool = pool
 
@@ -558,7 +558,7 @@ class GEMM(Generic[TModel, T]):
     # Checkpointing (the session layer's engine contract)
     # ------------------------------------------------------------------
 
-    def state_dict(self) -> dict[str, Any]:  # demonlint: disable=DML008 (``_pool`` is a live process-pool handle and never rides in a checkpoint; load_state_dict resets it to None and the owning session rebinds)
+    def state_dict(self) -> dict[str, Any]:
         """Serializable snapshot of the whole collection of models.
 
         Every distinct model (including the empty model and any
@@ -587,9 +587,6 @@ class GEMM(Generic[TModel, T]):
         the rest are re-spilled.
         """
         self._t = cast(int, state["t"])
-        # Live pool handles never ride in a checkpoint: a restored
-        # engine runs serial until the owning session rebinds one.
-        self._pool = None
         self._slots = [frozenset(ids) for ids in cast("list[list[int]]", state["slots"])]
         blobs = cast("dict[tuple[int, ...], bytes]", state["models"])
         revived: dict[ModelKey, TModel] = {

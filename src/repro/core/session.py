@@ -146,14 +146,16 @@ class MiningSession(Generic[TModel, T]):
             defers to the ambient ``DEMON_BLOCK_BACKEND`` toggle (plain
             in-memory blocks by default).  Checkpoints record the
             backend spec so :meth:`restore` resumes onto it.
-        workers: Process count for sharded maintenance
+        workers: Process count for GEMM's off-line updates
             (:mod:`repro.parallel`).  ``None`` defers to the
             ``DEMON_WORKERS`` environment toggle (default 1 = fully
-            serial).  More than one worker shards ECUT counting by
-            block and GEMM's off-line updates by model; results are
-            byte-identical to a serial run.  The setting is execution
-            config, not state: checkpoints never record it, and
-            :meth:`restore` takes its own ``workers``.
+            serial).  Under the MRW option, more than one worker fans
+            the off-line models' chains out one task per model, with
+            results byte-identical to a serial run; the critical update
+            always runs in-process.  Under the unrestricted window
+            nothing runs in parallel.  The setting is execution config,
+            not state: checkpoints never record it, and :meth:`restore`
+            takes its own ``workers``.
         scheduler: Maintenance scheduling policy — a
             :class:`~repro.scheduling.MaintenanceScheduler` instance, a
             name (``"eager"``/``"deviation"``), or a spec dict from
@@ -208,11 +210,6 @@ class MiningSession(Generic[TModel, T]):
         #: Ingested blocks still owed maintenance, in arrival order.
         self._pending: list[Block[T]] = []
         self.workers = resolve_workers(workers)
-        self._pool: WorkerPool | None = (
-            WorkerPool(self.workers, telemetry=self.telemetry)
-            if self.workers > 1
-            else None
-        )
 
         self._engine: GEMM[TModel, T] | UnrestrictedWindowMaintainer[TModel, T] | None
         if maintainer is None:
@@ -221,6 +218,12 @@ class MiningSession(Generic[TModel, T]):
             self._engine = GEMM(
                 maintainer, self.span.w, bss=bss, vault=vault, name=f"{name}.gemm"
             )
+            if self.workers > 1:
+                # GEMM's off-line chains are the pool's only work; the
+                # binding survives load_state_dict, so it is made once.
+                self._engine.bind_pool(
+                    WorkerPool(self.workers, telemetry=self.telemetry)
+                )
         else:
             if isinstance(bss, WindowRelativeBSS):  # unreachable, guarded above
                 raise AssertionError
@@ -263,16 +266,6 @@ class MiningSession(Generic[TModel, T]):
                 enable = getattr(self.vault, "enable_codec", None)
                 if callable(enable):
                     enable(spill)
-        if self._pool is not None:
-            # Sharded execution rides the same wiring pass: GEMM fans
-            # off-line updates out per model, and a poolable counter
-            # (ECUT) shards count_batch by block.
-            if isinstance(self._engine, GEMM):
-                self._engine.bind_pool(self._pool)
-            counter = getattr(self.maintainer, "counter", None)
-            bind = getattr(counter, "bind_pool", None)
-            if callable(bind):
-                bind(self._pool)
 
     # ------------------------------------------------------------------
     # Observation
@@ -595,10 +588,6 @@ class MiningSession(Generic[TModel, T]):
         engine_state = state["engine"]["state"]
         if self._engine is not None and engine_state is not None:
             self._engine.load_state_dict(engine_state)
-            # load_state_dict drops any live pool handle (checkpoints
-            # never carry one); a parallel session rebinds its own.
-            if self._pool is not None and isinstance(self._engine, GEMM):
-                self._engine.bind_pool(self._pool)
         # Scheduler state transfers only between schedulers of the same
         # kind: restoring an eager session onto a deviation scheduler
         # (or vice versa) starts the new policy from scratch, but the

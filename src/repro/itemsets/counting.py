@@ -289,32 +289,6 @@ def _dense_count_block(
     accountant.record_hits(used, uses[used] - 1, key_nbytes)
 
 
-def _contiguous_shards(
-    values: list[Any], weights: list[int], parts: int
-) -> list[list[Any]]:
-    """Split ``values`` into <= ``parts`` contiguous, weight-balanced runs.
-
-    Contiguity keeps each shard's blocks in arrival order (workers
-    then touch a dense range of any path-local cache) and makes the
-    partition a pure function of the block set, independent of worker
-    scheduling.
-    """
-    count = min(parts, len(values))
-    total = sum(weights) or len(values)
-    shards: list[list[Any]] = []
-    current: list[Any] = []
-    accumulated = 0.0
-    for value, weight in zip(values, weights):
-        current.append(value)
-        accumulated += weight if weight > 0 else 1
-        if len(shards) < count - 1 and accumulated >= total * (len(shards) + 1) / count:
-            shards.append(current)
-            current = []
-    if current:
-        shards.append(current)
-    return shards
-
-
 class ECUTCounter(SupportCounter):
     """TID-list intersection counting (Efficient Counting Using TID-lists).
 
@@ -324,28 +298,8 @@ class ECUTCounter(SupportCounter):
 
     name = "ECUT"
 
-    def __init__(self, tidlists: TidListStore, pool: Any = None):
+    def __init__(self, tidlists: TidListStore):
         self._tidlists = tidlists
-        self._pool = pool
-
-    def bind_pool(self, pool: Any) -> None:
-        """Attach a :class:`~repro.parallel.pool.WorkerPool`.
-
-        With a pool of more than one worker, :meth:`count_batch` shards
-        by block and merges the per-shard count vectors by TID-list
-        additivity (§2.2) — the merged supports are exactly the serial
-        ones.  ``None`` detaches.
-        """
-        self._pool = pool
-
-    def __getstate__(self) -> dict[str, Any]:
-        # The pool is execution wiring, not model state: a counter
-        # pickled into a checkpoint (or shipped to a worker) must not
-        # drag the parent's dispatch config along, and checkpoint bytes
-        # must not depend on the worker count.
-        state = dict(self.__dict__)
-        state["_pool"] = None
-        return state
 
     def count(
         self, itemsets: Collection[Itemset], block_ids: Sequence[int]
@@ -373,13 +327,6 @@ class ECUTCounter(SupportCounter):
             # Only empty itemsets: each counts every block in full.
             total = sum(self._tidlists.block_size(b) for b in block_ids)
             return {itemset: total for itemset in counts}
-        pool = self._pool
-        if pool is not None and pool.workers > 1 and len(block_ids) > 1:
-            sharded = self._count_batch_sharded(targets, list(block_ids), pool)
-            if sharded is not None:
-                for r, itemset in enumerate(targets):
-                    counts[itemset] = sharded[r]
-                return counts
         item_index = {item: k for k, item in enumerate(items)}
         n = len(targets)
         T = _padded_rows(
@@ -413,39 +360,6 @@ class ECUTCounter(SupportCounter):
             )
         return dict(zip(targets, supports.tolist()))
 
-    def _count_batch_sharded(
-        self, targets: list[Itemset], block_ids: list[int], pool: Any
-    ) -> list[int] | None:
-        """Fan per-block counting out to workers; sum the vectors.
-
-        Each shard is a contiguous run of blocks (weight-balanced by
-        transaction count) whose refs workers resolve zero-copy for
-        mmap-backed blocks.  Additivity makes the merge a plain integer
-        sum, so the result is byte-for-byte the serial one.  Returns
-        ``None`` — caller counts serially — when any block has no
-        source handle (e.g. right after a checkpoint restore: TID-lists
-        survive, block handles do not).
-        """
-        from repro.parallel.shards import block_ref, count_shard
-
-        refs = []
-        for block_id in block_ids:
-            block = self._tidlists.source_block(block_id)
-            if block is None:
-                return None
-            refs.append(block_ref(block))
-        weights = [self._tidlists.block_size(b) for b in block_ids]
-        shards = _contiguous_shards(refs, weights, pool.workers)
-        frozen = tuple(targets)
-        results = pool.run(
-            count_shard, [(frozen, tuple(shard)) for shard in shards]
-        )
-        totals = [0] * len(targets)
-        for vector in results:
-            for index, value in enumerate(vector):
-                totals[index] += value
-        return totals
-
 
 class ECUTPlusCounter(SupportCounter):
     """ECUT with materialized 2-itemset TID-lists (§3.1.1, ECUT+).
@@ -473,8 +387,8 @@ class ECUTPlusCounter(SupportCounter):
     def __getstate__(self) -> dict[str, Any]:
         # The plan memo is a derived cache, rebuilt on demand from the
         # stores; persisting it would make checkpoint bytes depend on
-        # which process happened to count which block (the sharded
-        # counting path plans covers worker-side).
+        # which process happened to count which block (GEMM's off-line
+        # chains plan covers in worker replicas).
         state = dict(self.__dict__)
         state["_plan_cache"] = {}
         return state

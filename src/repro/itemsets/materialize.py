@@ -212,8 +212,8 @@ class PairTidListStore:
     def __getstate__(self) -> dict[str, object]:
         # The packed-row cache is derived from ``_lists`` and rebuilt
         # lazily; persisting it would make checkpoint bytes depend on
-        # which process happened to count which block (the sharded
-        # counting path packs rows worker-side).
+        # which process happened to count which block (GEMM's off-line
+        # chains pack rows in worker replicas).
         state = dict(self.__dict__)
         state["_packed"] = {}
         return state

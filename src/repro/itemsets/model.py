@@ -57,7 +57,7 @@ class FrequentItemsetModel:
         """Canonical pickle state for byte-identical checkpoints.
 
         Set iteration order follows the hash-table layout its insertion
-        history produced, and serial vs sharded maintenance insert into
+        history produced, and serial vs parallel maintenance insert into
         ``items`` in different orders — equal models would pickle to
         different bytes.  Rebuilding the set from its sorted elements
         makes the layout a function of the contents alone (the same

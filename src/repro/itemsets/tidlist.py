@@ -174,12 +174,12 @@ class TidListStore:
     def source_block(self, block_id: int) -> Block[Transaction] | None:
         """The block handle this store materialized ``block_id`` from.
 
-        The sharded counting path (:mod:`repro.parallel`) uses the
-        handle to build a zero-copy ref for workers.  ``None`` when the
-        block was never materialized here or the store was restored
-        from a checkpoint (handles are execution state, not model
-        state — see ``__getstate__`` — so a freshly restored session
-        counts serially until new blocks arrive).
+        GEMM's off-line chains (:mod:`repro.parallel`) use the handle
+        to build a zero-copy ref for workers.  ``None`` when the block
+        was never materialized here or the store was restored from a
+        checkpoint (handles are execution state, not model state — see
+        ``__getstate__`` — so a freshly restored session maintains
+        in-process until new blocks arrive).
         """
         return self._sources.get(block_id)
 

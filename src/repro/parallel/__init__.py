@@ -1,4 +1,4 @@
-"""Sharded parallel execution of DEMON maintenance (see pool.py).
+"""Parallel execution of GEMM's off-line model updates (see pool.py).
 
 Public surface: :class:`WorkerPool` (dispatch), :func:`resolve_workers`
 (the ``workers=N`` / ``DEMON_WORKERS`` knob), :func:`shutdown_workers`

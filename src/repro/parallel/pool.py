@@ -1,25 +1,24 @@
-"""Process-pool execution layer for sharded maintenance (the tentpole).
+"""Process-pool execution layer for GEMM's off-line model updates.
 
-DEMON's maintenance hot paths are embarrassingly parallel: the TID-list
-additivity/0-1 properties (§2.2) mean per-block ECUT counting partitions
-cleanly by block, and GEMM's ``w`` overlapping-window models (§3.2.3)
-are independent given the shared new block.  :class:`WorkerPool` is the
-one dispatch point both paths share.
+GEMM keeps ``w`` overlapping-window models (§3.2.3); once the critical
+model is updated in-process, the remaining final slots' ``A_M`` chains
+are independent given the shared new blocks.  :class:`WorkerPool` fans
+those chains out, one task per model.  It is the only parallel path.
 
 Design constraints, in order:
 
 * **Byte-identical results.**  A parallel run must produce exactly the
-  models a serial run produces — the sharded paths in
-  :mod:`repro.itemsets.counting` and :mod:`repro.core.gemm` merge by
-  additivity and key-disjointness respectively, never by approximation.
+  models a serial run produces — :mod:`repro.core.gemm` adopts each
+  worker's model pickle verbatim and merges by window key, which is
+  disjoint across tasks, never by approximation.
 * **Zero-copy payloads.**  Tasks ship ``(spec, block id, args)``
   tuples; workers reopen mmap-backed blocks from their on-disk paths
   (see :mod:`repro.parallel.shards`) instead of pickling block data
   through the pipe.  Payloads cross :func:`repro.contracts.worker_entry`
   so demonlint rule DML017 and the pickle-probe sanitizer audit them.
 * **Serial fallback.**  At ``workers=1`` tasks run in-process with the
-  same envelope protocol, so every sharded code path is exercised by
-  the default test tier without any subprocess machinery.
+  same envelope protocol, so the task entries run under unit tests
+  without any subprocess machinery.
 
 Telemetry: each task runs under a private :class:`Telemetry` whose
 ``state_dict`` rides back in the result envelope.  The parent merges it
@@ -27,8 +26,9 @@ twice — once bare, so aggregate phase/counter totals stay comparable
 with a serial run, and once under ``parallel.w{id}.`` for per-worker
 attribution (see docs/OBSERVABILITY.md).  Worker-side I/O byte
 accounting stays in the worker (``state_dict`` deliberately omits the
-attached registries); parallel runs therefore under-report I/O relative
-to serial, which docs/PERFORMANCE.md calls out.
+attached registries), so the reads of off-line chains that ran in a
+worker are missing from the parent's I/O totals, which
+docs/PERFORMANCE.md calls out.
 
 Executors are process-wide and shared across sessions (keyed by worker
 count): fork start-up is cheap but spawn is not, and benchmarks create

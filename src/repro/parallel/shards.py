@@ -1,4 +1,4 @@
-"""Worker-side shard tasks: zero-copy block refs, counting, maintenance.
+"""Worker-side tasks for GEMM's off-line chains: block refs, replicas.
 
 The payload protocol (DML017-audited via :func:`worker_entry`) ships
 *descriptions*, never live handles:
@@ -17,27 +17,23 @@ The payload protocol (DML017-audited via :func:`worker_entry`) ships
   can be rebuilt from a small config (:meth:`BordersMaintainer
   .worker_payload`), else ``("blob", pickle-bytes)``.
 
-Workers cache what is safe to cache: single-block TID-list stores
-keyed by mmap path (:func:`count_shard`) and spec-built maintainer
-replicas keyed by their spec with a ``block id -> path`` registration
-map (:func:`maintain_chain_shard`).  Inline refs are never cached — the
-parent's records may differ between calls under the same block id —
-which is one of the "when workers lose" cases in docs/PERFORMANCE.md.
+Workers cache spec-built maintainer replicas keyed by their spec, with
+a ``block id -> path`` registration map (:func:`maintain_chain_shard`).
+Inline refs are never cached — the parent's records may differ between
+calls under the same block id — which is one of the "when workers
+lose" cases in docs/PERFORMANCE.md.
 
-Byte-identity: count vectors merge by TID-list additivity (§2.2);
-maintenance tasks replay one GEMM slot's ``A_M`` chain — a single
-build or add for a one-block run — and return pickled models whose
-bytes the parent adopts verbatim, so a parallel run's models are
-exactly a serial run's.
-Worker-side I/O accounting intentionally stays in the worker (replica
-stats are unbound); only phases and counters ride back through the
-:func:`~repro.parallel.pool.task_telemetry` envelope.
+Byte-identity: each task replays one GEMM slot's ``A_M`` chain — a
+single build or add for a one-block run — and returns the pickled
+model, whose bytes the parent adopts verbatim, so a parallel run's
+models are exactly a serial run's.  The chain's I/O accounting stays
+in the worker (replica stats are unbound); only phases and counters
+ride back through the :func:`~repro.parallel.pool.task_telemetry`
+envelope.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pickle
 from typing import Any, Sequence
 
@@ -46,7 +42,6 @@ from repro.core.blocks import Block
 from repro.parallel.pool import task_telemetry
 from repro.storage.engine import (
     TIER_COLD,
-    BlockSchema,
     MmapBlockData,
     TieredBlockData,
     load_block_data,
@@ -60,15 +55,9 @@ REF_INLINE = "inline"
 REF_PACKED = "packed"
 
 #: Ref kinds addressed by an on-disk block directory path (index 4) —
-#: a stable identity for the block's immutable contents, so stores and
-#: replicas built from them are cacheable worker-side.
+#: a stable identity for the block's immutable contents, so replicas
+#: built from them are cacheable worker-side.
 _PATH_REF_KINDS = (REF_MMAP, REF_PACKED)
-
-#: Worker-resident single-block TID-list stores, keyed by mmap path.
-#: Bounded: cleared wholesale when it grows past the cap (workers are
-#: long-lived across many observes; stores hold materialized lists).
-_COUNT_STORES: dict[str, Any] = {}
-_COUNT_STORE_CAP = 64
 
 #: Spec-built maintainer replicas, keyed by the pickled spec, carrying
 #: a ``block id -> mmap path`` map of what the replica has registered.
@@ -116,86 +105,37 @@ def block_ref(block: Block[Any]) -> tuple[Any, ...]:
 def resolve_block(ref: Sequence[Any]) -> Block[Any]:
     """Rebuild a :class:`Block` handle from a ref, inside the worker.
 
-    Mmap refs re-read the block directory's ``meta.json`` and map the
-    columns lazily; packed refs reopen the compressed cold form through
-    :func:`~repro.storage.engine.load_block_data` (no promoter is bound
-    worker-side, so a worker's reads never re-inflate the parent's cold
-    block).  Either way the data's stats stay unbound, so worker reads
-    are never charged to any parent registry.
+    Mmap and packed refs reopen their block directory through
+    :func:`~repro.storage.engine.load_block_data` and must find the
+    tier they name: an mmap ref needs the dense columns, a packed ref
+    the compressed cold form (no promoter is bound worker-side, so a
+    worker's reads never re-inflate the parent's cold block).  Either
+    way the data's stats stay unbound, so worker reads are never
+    charged to any parent registry.
     """
     kind, block_id, label, metadata, payload = ref[0], ref[1], ref[2], ref[3], ref[4]
     if kind == REF_INLINE:
         return Block(block_id, tuples=payload, label=label, metadata=metadata)
+    if kind not in _PATH_REF_KINDS:
+        raise ValueError(f"unknown block ref kind {kind!r}")
+    data = load_block_data(payload)
     if kind == REF_PACKED:
-        packed = load_block_data(payload)
-        if not (isinstance(packed, TieredBlockData) and packed.tier == TIER_COLD):
+        if not (isinstance(data, TieredBlockData) and data.tier == TIER_COLD):
             raise ValueError(
                 f"packed ref for block {block_id} points at {payload!r}, "
                 "which holds no cold-tier data"
             )
-        if ref[5] != packed.codec:
+        if ref[5] != data.codec:
             raise ValueError(
                 f"packed ref for block {block_id} names codec {ref[5]!r} "
-                f"but {payload!r} was written with {packed.codec!r}"
+                f"but {payload!r} was written with {data.codec!r}"
             )
-        return Block(block_id, label=label, metadata=metadata, data=packed)
-    if kind != REF_MMAP:
-        raise ValueError(f"unknown block ref kind {kind!r}")
-    with open(os.path.join(payload, "meta.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    data: MmapBlockData[Any] = MmapBlockData(
-        path=payload,
-        schema=BlockSchema.from_dict(meta["schema"]),
-        num_records=int(meta["num_records"]),
-        nbytes=int(meta["nbytes"]),
-        chunk_rows=meta["chunks"],
-        chunk_size=meta["chunk_size"],
-    )
+    elif isinstance(data, TieredBlockData) and data.tier == TIER_COLD:
+        raise ValueError(
+            f"mmap ref for block {block_id} points at {payload!r}, "
+            "which now holds only cold-tier data"
+        )
     return Block(block_id, label=label, metadata=metadata, data=data)
-
-
-def _count_store(ref: Sequence[Any]) -> Any:
-    """A TID-list store holding exactly this ref's block, cached by path."""
-    from repro.itemsets.tidlist import TidListStore
-
-    if ref[0] in _PATH_REF_KINDS:
-        path = ref[4]
-        store = _COUNT_STORES.get(path)
-        if store is None:
-            if len(_COUNT_STORES) >= _COUNT_STORE_CAP:
-                _COUNT_STORES.clear()
-            store = TidListStore()
-            store.materialize_block(resolve_block(ref))
-            _COUNT_STORES[path] = store
-        return store
-    store = TidListStore()
-    store.materialize_block(resolve_block(ref))
-    return store
-
-
-@worker_entry
-def count_shard(
-    targets: Sequence[tuple[int, ...]], refs: Sequence[Sequence[Any]]
-) -> list[int]:
-    """Exact supports of ``targets`` over one shard of blocks.
-
-    Returns one count vector aligned with ``targets``; the parent sums
-    vectors across shards (TID-list additivity, §2.2) to recover
-    exactly the serial ``count_batch`` result.
-    """
-    from repro.itemsets.counting import ECUTCounter
-
-    telemetry = task_telemetry()
-    totals = [0] * len(targets)
-    with telemetry.phase("parallel.count_shard"):
-        itemsets = [tuple(target) for target in targets]
-        for ref in refs:
-            store = _count_store(ref)
-            counts = ECUTCounter(store).count_batch(itemsets, [ref[1]])
-            for index, itemset in enumerate(itemsets):
-                totals[index] += counts[itemset]
-        telemetry.increment("parallel.blocks_counted", len(refs))
-    return totals
 
 
 def _build_from_spec(spec: dict[str, Any]) -> Any:

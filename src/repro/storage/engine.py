@@ -1285,10 +1285,19 @@ def load_block_data(path: str, stats: IOStats | None = None) -> MmapBlockData[An
     Hot (or plain mmap) directories come back as :class:`MmapBlockData`;
     directories carrying a cold tier come back as
     :class:`TieredBlockData` reading ``packed.bin`` in place — this is
-    how parallel workers reopen compressed columns zero-copy.
+    how parallel workers reopen compressed columns zero-copy.  A
+    directory whose ``"format"`` is missing or is not
+    :data:`BLOCK_DIR_FORMAT` raises ``ValueError`` naming ``path``.
     """
-    with open(os.path.join(path, "meta.json"), "r", encoding="utf-8") as fh:
+    meta_path = os.path.join(path, "meta.json")
+    with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
+    found = meta.get("format")
+    if found != BLOCK_DIR_FORMAT:
+        raise ValueError(
+            f"{meta_path!r} has block directory format {found!r}; "
+            f"expected {BLOCK_DIR_FORMAT}"
+        )
     schema = BlockSchema.from_dict(meta["schema"])
     common = dict(
         path=path,

@@ -13,9 +13,11 @@ away before comparison:
 * wall-clock seconds (every ``*seconds`` field is zeroed);
 * ``parallel.*`` telemetry entries — worker-id attribution is
   scheduling-dependent, and the serial run has none at all;
-* I/O byte counters — worker-side reads stay in the workers (the
-  envelope deliberately omits attached registries), so a parallel
-  parent under-reports I/O relative to serial.
+* I/O counters of most-recent-window sessions only — the reads of
+  GEMM's off-line chains stay in the workers (the envelope
+  deliberately omits attached registries), so a parallel parent
+  under-reports them.  Under the unrestricted window nothing runs in a
+  worker, so its I/O counters must match the serial run's exactly.
 
 Everything else — models, window slots, TID-list stores, diagnostics —
 must pickle identically.
@@ -80,11 +82,11 @@ def streams(records):
 # -- normalization ------------------------------------------------------
 
 
-def scrub_execution(obj, _seen=None):
+def scrub_execution(obj, keep_io=False, _seen=None):
     """Strip execution residue from an object graph, in place.
 
-    Zeroes every ``*seconds`` dataclass field and every
-    :class:`IOStats` counter, and drops ``parallel.*`` and
+    Zeroes every ``*seconds`` dataclass field and, unless ``keep_io``,
+    every :class:`IOStats` counter, and drops ``parallel.*`` and
     ``storage.tier.*`` entries from every :class:`Telemetry` — the
     signal families that encode *how* a run executed rather than
     *what* it computed (worker attribution is scheduling-dependent;
@@ -103,10 +105,11 @@ def scrub_execution(obj, _seen=None):
             del obj.counters[name]
         for stats in obj.phases.values():
             stats.seconds = 0.0
-        scrub_execution(obj.io, seen)
+        scrub_execution(obj.io, keep_io, seen)
         return obj
     if isinstance(obj, IOStats):
-        obj.reset()
+        if not keep_io:
+            obj.reset()
         return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         for field in dataclasses.fields(obj):
@@ -114,16 +117,16 @@ def scrub_execution(obj, _seen=None):
             if field.name.endswith("seconds") and isinstance(value, float):
                 object.__setattr__(obj, field.name, 0.0)
             else:
-                scrub_execution(value, seen)
+                scrub_execution(value, keep_io, seen)
     elif isinstance(obj, dict):
         for value in obj.values():
-            scrub_execution(value, seen)
+            scrub_execution(value, keep_io, seen)
     elif isinstance(obj, (list, tuple, set, frozenset)):
         for value in obj:
-            scrub_execution(value, seen)
+            scrub_execution(value, keep_io, seen)
     elif hasattr(obj, "__dict__"):
         for value in vars(obj).values():
-            scrub_execution(value, seen)
+            scrub_execution(value, keep_io, seen)
     return obj
 
 
@@ -136,9 +139,13 @@ def normalized_checkpoint(session):
         scheduler = dict(payload["scheduler"])
         scheduler.pop("mean_maintain_seconds", None)
         payload["scheduler"] = scheduler
+    # Only a most-recent window runs anything in a worker.
+    keep_io = not isinstance(session.span, MostRecentWindow)
     for key in ("maintainer", "pattern_miner", "snapshot"):
         if payload[key] is not None:
-            payload[key] = save_model(scrub_execution(load_model(payload[key])))
+            payload[key] = save_model(
+                scrub_execution(load_model(payload[key]), keep_io)
+            )
     return payload
 
 
@@ -384,14 +391,42 @@ class TestWorkAttribution:
         )
         assert attributed == counters["parallel.tasks"]
 
+    def test_restored_windowed_run_keeps_its_pool(self, tmp_path):
+        # The pool is bound once at construction; loading the
+        # checkpointed engine state must not unbind it.
+        import random
+
+        rng = random.Random(0)
+
+        def block():
+            return [
+                tuple(sorted(set(rng.choices(range(20), k=rng.randint(2, 6)))))
+                for _ in range(60)
+            ]
+
+        session = borders_ecut_session(
+            backend=MmapBackend(root=str(tmp_path)),
+            workers=4,
+            span=MostRecentWindow(3),
+            vault=ModelVault(),
+        )
+        for _ in range(3):
+            session.ingest(iter(block()))
+        session.checkpoint()
+        restored = MiningSession.restore(session.vault, workers=4)
+        before = restored.telemetry.counters.get("parallel.tasks", 0)
+        for _ in range(3):
+            restored.ingest(iter(block()))
+        assert restored.telemetry.counters.get("parallel.tasks", 0) > before
+
 
 class TestRestoreFallsBackToSerial:
-    """Worker sharding needs live block handles; restore drops them.
+    """A restored session with workers matches an uninterrupted run.
 
     After a kill/restore the TID-list store no longer holds source
-    block references for pre-checkpoint blocks, so the sharded counting
-    path must decline (returning to serial) rather than crash — and the
-    final model must still match an uninterrupted serial run.
+    block references for pre-checkpoint blocks, so nothing that needs
+    a worker ref may be shipped for them; the session keeps its worker
+    count and the final model must still match a serial run.
     """
 
     @settings(**SETTINGS)
@@ -425,3 +460,40 @@ class TestRestoreFallsBackToSerial:
         assert save_model(restored.current_model()) == save_model(
             truth.current_model()
         )
+
+
+class TestSessionChargesCountingIO:
+    """Support counting runs in the session's process and is charged there.
+
+    Only GEMM's off-line chains run in workers, so an unrestricted
+    window's TID-list reads are the serial run's exactly, and a
+    most-recent window's critical chain charges its reads too.
+    """
+
+    @staticmethod
+    def fetch_stats(tmp_path, workers, span=None):
+        from repro.datagen.quest import QuestGenerator, QuestParams
+
+        params = QuestParams.from_name("2M.20L.1I.4pats.4plen", scale=0.01)
+        generator = QuestGenerator(params, seed=0)
+        session = MiningSession(
+            BordersMaintainer(0.03, counter="ecut"),
+            backend=MmapBackend(root=str(tmp_path / f"w{workers}")),
+            workers=workers,
+            span=span,
+        )
+        for _ in range(6):
+            session.ingest(generator.iter_transactions(1000))
+        stats = session.maintainer.context.registry.get("tidlist_fetch")
+        return stats.reads, stats.bytes_read, stats.cache_hits
+
+    def test_unrestricted_window_charges_the_serial_reads(self, tmp_path):
+        serial = self.fetch_stats(tmp_path, 1)
+        assert serial[1] > 0
+        assert self.fetch_stats(tmp_path, 2) == serial
+
+    def test_most_recent_window_charges_its_critical_reads(self, tmp_path):
+        _reads, bytes_read, _hits = self.fetch_stats(
+            tmp_path, 2, span=MostRecentWindow(3)
+        )
+        assert bytes_read > 0

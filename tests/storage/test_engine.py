@@ -37,6 +37,7 @@ from repro.storage.engine import (
     ambient_backend_name,
     backend_from_spec,
     infer_schema,
+    load_block_data,
     resolve_backend,
 )
 
@@ -174,6 +175,30 @@ class TestOnDiskLayout:
         assert meta["schema"]["kind"] == KIND_CSR
         assert meta["num_records"] == len(TRANSACTIONS)
         assert meta["nbytes"] == records_nbytes(TRANSACTIONS)
+
+    @pytest.mark.parametrize("found", [None, BLOCK_DIR_FORMAT + 1, "1"])
+    def test_block_dir_of_another_format_rejected(self, tmp_path, found):
+        from repro.parallel.shards import block_ref, resolve_block
+
+        backend = MmapBackend(root=str(tmp_path))
+        block = backend.ingest(1, TRANSACTIONS)
+        path = os.path.join(block.data.path, "meta.json")
+        assert load_block_data(block.data.path).num_records == len(TRANSACTIONS)
+        with open(path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        if found is None:
+            del meta["format"]
+        else:
+            meta["format"] = found
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        for reopen in (
+            lambda: load_block_data(block.data.path),
+            lambda: resolve_block(block_ref(block)),
+        ):
+            with pytest.raises(ValueError, match="format") as info:
+                reopen()
+            assert path in str(info.value)
 
     def test_layout_files_per_kind(self, tmp_path):
         backend = MmapBackend(root=str(tmp_path), chunk_size=2)

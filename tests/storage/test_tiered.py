@@ -276,22 +276,33 @@ class TestWorkerReopen:
         with pytest.raises(ValueError, match="cold"):
             resolve_block(ref)
 
-    def test_count_shard_over_mixed_tiers_matches_serial(self, backend):
-        from repro.itemsets.counting import ECUTCounter
-        from repro.itemsets.tidlist import TidListStore
-        from repro.parallel.shards import block_ref, count_shard
+    def test_mmap_ref_to_cold_directory_rejected(self, backend):
+        block = backend.ingest(1, TRANSACTIONS)
+        from repro.parallel.shards import REF_MMAP, block_ref, resolve_block
 
-        blocks = [
-            backend.ingest(1, TRANSACTIONS),
-            backend.ingest(2, [(1, 2), (2, 3), (1, 2, 3)] * 5),
-        ]
-        # Serial truth on hot blocks.
-        store = TidListStore()
-        for block in blocks:
-            store.materialize_block(block)
-        targets = [(2,), (1, 2), (2, 3), (1, 2, 3), (9,)]
-        truth = ECUTCounter(store).count_batch(targets, [1, 2])
+        ref = block_ref(block)
+        assert ref[0] == REF_MMAP
         backend.demote_block(1)
-        refs = [block_ref(block) for block in blocks]
-        counts = count_shard(targets, refs)
-        assert counts == [truth[t] for t in targets]
+        with pytest.raises(ValueError, match="cold"):
+            resolve_block(ref)
+
+    def test_chain_shard_over_mixed_tiers_matches_serial(self, backend):
+        from repro.itemsets.borders import BordersMaintainer
+        from repro.parallel.shards import (
+            REF_MMAP,
+            REF_PACKED,
+            block_ref,
+            maintain_chain_shard,
+        )
+        from repro.storage.persist import save_model
+
+        hot = backend.ingest(1, TRANSACTIONS)
+        cold = backend.ingest(2, [(1, 2), (2, 3), (1, 2, 3)] * 5)
+        backend.demote_block(2)
+        refs = (block_ref(hot), block_ref(cold))
+        assert [ref[0] for ref in refs] == [REF_MMAP, REF_PACKED]
+        serial = BordersMaintainer(0.25, counter="ecut")
+        truth = serial.add_block(serial.build([hot]), cold)
+        token = ("spec", serial.worker_payload())
+        blob, _diagnostics = maintain_chain_shard(token, None, refs, ())
+        assert blob == save_model(truth)

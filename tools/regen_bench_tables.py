@@ -161,25 +161,6 @@ def counting_tables(grouped: dict[str, list[dict]]) -> list[str]:
 
 def parallel_tables(grouped: dict[str, list[dict]]) -> list[str]:
     tables = []
-    sharded = grouped.get("fig2_worker_scaling", [])
-    if sharded:
-        first = sharded[0]
-        tables.append(
-            render_table(
-                f"Figure 2 addendum: sharded ECUT counting "
-                f"(|S| = {first['n_itemsets']}, {first['n_blocks']} mmap "
-                f"blocks, {first['cpu_count']} cores)",
-                ["workers", "ms", "speedup"],
-                [
-                    [
-                        row["workers"],
-                        fmt_ms(row["seconds"]),
-                        f"{row['speedup']:.2f}x",
-                    ]
-                    for row in sharded
-                ],
-            )
-        )
     maintenance = grouped.get("maintenance_worker_scaling", [])
     if maintenance:
         first = maintenance[0]
