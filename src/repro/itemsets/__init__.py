@@ -33,14 +33,7 @@ from repro.itemsets.counting import (
 )
 from repro.itemsets.fup import FUPMaintainer, FUPStats
 from repro.itemsets.hash_tree import HashTree, count_supports_hash
-from repro.itemsets.kernels import (
-    BitmapTidList,
-    force_kernel,
-    intersect_arrays,
-    intersect_gallop,
-    intersect_merge,
-    intersect_pair,
-)
+from repro.itemsets.kernels import BitmapTidList
 from repro.itemsets.itemset import (
     Itemset,
     Transaction,
@@ -62,7 +55,7 @@ from repro.itemsets.rules import (
     diff_rules,
     generate_rules,
 )
-from repro.itemsets.tidlist import TidListStore, intersect_sorted
+from repro.itemsets.tidlist import TidListStore
 
 __all__ = [
     "Itemset",
@@ -86,13 +79,7 @@ __all__ = [
     "is_on_border",
     "check_border_invariant",
     "TidListStore",
-    "intersect_sorted",
     "BitmapTidList",
-    "force_kernel",
-    "intersect_arrays",
-    "intersect_gallop",
-    "intersect_merge",
-    "intersect_pair",
     "PairTidListStore",
     "plan_cover",
     "SupportCounter",

@@ -14,21 +14,25 @@ The paper compares three ways to do it:
 * **ECUT+** — like ECUT but prefer materialized 2-itemset TID-lists
   when a block has them, fetching fewer and shorter lists.
 
-All three implement :class:`SupportCounter` so BORDERS treats them
-interchangeably.
-
-Each counter additionally exposes :meth:`SupportCounter.count_batch`,
-the batched engine BORDERS actually calls.  Per block, every candidate
+All three implement :meth:`SupportCounter.count_batch`, so BORDERS
+treats them interchangeably.  PT-Scan's is one prefix tree and one
+scan.  ECUT's and ECUT+'s share one engine: per block, every candidate
 is a rarest-first sequence of fetch keys, and the candidates advance
-level-synchronously over packed bitset rows: one depth of every
+level-synchronously over packed bitset rows — one depth of every
 candidate's running intersection is one fancy-indexed ``&`` and one
 row popcount.  The running rows are processed in chunks under a fixed
 byte budget (:data:`DENSE_CHUNK_BYTES`), so one engine serves every
-block size.  Each distinct physical list is charged exactly once per
-block and batch; repeat uses are recorded as cache hits, not
-re-charged, so the byte meter sees what a buffer pool would serve from
-disk.  PT-Scan's plain :meth:`~PTScanCounter.count` is already batched
-(one prefix tree, one scan), so its batch path is the same code.
+block size.
+
+The I/O accounting is defined per candidate and block.  A candidate
+walks its keys in order (ECUT: items rarest-first; ECUT+: its
+:func:`~repro.itemsets.materialize.plan_cover` keys shortest-first) and
+*uses* each key until its running intersection empties; a key past
+that point is never used.  Every use costs the key's physical size, so
+``bytes_read + bytes_cached`` of a block is the summed size of all
+uses.  The first use of a distinct key in a block and batch is its one
+charged read; every further use is a recorded cache hit, so the byte
+meter sees what a buffer pool would serve from disk.
 """
 
 from __future__ import annotations
@@ -40,11 +44,7 @@ from typing import Any, Union
 import numpy as np
 
 from repro.itemsets.itemset import Itemset, Transaction
-from repro.itemsets.kernels import (
-    TID_BYTES,
-    TidList,
-    intersect_many,
-)
+from repro.itemsets.kernels import TID_BYTES
 from repro.itemsets.materialize import Pair, PairTidListStore, plan_cover
 from repro.itemsets.prefix_tree import PrefixTree
 from repro.itemsets.tidlist import TidListStore
@@ -59,28 +59,16 @@ class SupportCounter(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def count(
-        self, itemsets: Collection[Itemset], block_ids: Sequence[int]
-    ) -> dict[Itemset, int]:
-        """Absolute support counts of ``itemsets`` over ``block_ids``."""
-
     def count_batch(
         self, itemsets: Collection[Itemset], block_ids: Sequence[int]
     ) -> dict[Itemset, int]:
-        """Batched support counting; equals :meth:`count` exactly.
-
-        The default falls back to the per-itemset path; TID-list
-        counters override it with the chunked bitset-row engine.
-        """
-        return self.count(itemsets, block_ids)
+        """Absolute support counts of ``itemsets`` over ``block_ids``."""
 
 
 class PTScanCounter(SupportCounter):
     """Full-scan counting through a prefix tree (the BORDERS baseline).
 
-    The scan path is inherently batched (one prefix tree over all of
-    ``S``, one pass over the data), so :meth:`count_batch` is the same
-    code.
+    One prefix tree over all of ``S``, one pass over the data.
 
     Args:
         store: Block store holding the transactional data; every
@@ -92,7 +80,7 @@ class PTScanCounter(SupportCounter):
     def __init__(self, store: BlockStore[Transaction]):
         self._store = store
 
-    def count(
+    def count_batch(
         self, itemsets: Collection[Itemset], block_ids: Sequence[int]
     ) -> dict[Itemset, int]:
         if not itemsets:
@@ -103,7 +91,7 @@ class PTScanCounter(SupportCounter):
 
 
 # ----------------------------------------------------------------------
-# The batched TID-list engine: level-synchronous bitset rows, chunked
+# The TID-list engine: level-synchronous bitset rows, chunked
 # ----------------------------------------------------------------------
 
 #: A fetch key names one physical list: a bare ``int`` is a single-item
@@ -243,12 +231,10 @@ def _dense_count_block(
     :data:`DENSE_CHUNK_BYTES` of running rows, so the scratch memory is
     bounded whatever the block size and candidate count.
 
-    Pruning matches the per-itemset path exactly: a candidate's key at
-    depth ``d`` is only charged while its depth ``d-1`` intersection
-    is non-empty, so each key use either re-uses an already-charged
-    fetch (a recorded cache hit) or charges the store — and the block's
-    ``bytes_read + bytes_cached`` equals what the per-itemset path
-    charges, with ``bytes_read`` a deduplicated (≤) share of it.
+    A candidate's key at depth ``d`` is used only while its depth
+    ``d-1`` intersection is non-empty, as the module docstring's
+    accounting defines: the first use of a key in the block charges the
+    store, every further use is a recorded cache hit.
     """
     n_keys = len(key_lens)
     # Key uses are summed over every depth of every chunk and charged
@@ -271,8 +257,7 @@ def _dense_count_block(
         for depth in range(1, chunk.shape[1]):
             ks = chunk[idx, depth]
             # A candidate is done at its last key, or as soon as its
-            # intersection is empty: its deeper keys are never charged
-            # (the per-itemset path stops fetching there too).
+            # intersection is empty: its deeper keys are never used.
             going = (ks >= 0) & (counts > 0)
             if not going.all():
                 sums[idx[~going]] += counts[~going]
@@ -301,22 +286,13 @@ class ECUTCounter(SupportCounter):
     def __init__(self, tidlists: TidListStore):
         self._tidlists = tidlists
 
-    def count(
-        self, itemsets: Collection[Itemset], block_ids: Sequence[int]
-    ) -> dict[Itemset, int]:
-        return {
-            itemset: self._tidlists.count_itemset(block_ids, itemset)
-            for itemset in itemsets
-        }
-
     def count_batch(
         self, itemsets: Collection[Itemset], block_ids: Sequence[int]
     ) -> dict[Itemset, int]:
-        """Batched ECUT: per block, rarest-first rows of the dense engine.
+        """ECUT: per block, rarest-first rows of the dense engine.
 
-        Orders every itemset's items rarest-first (the same order the
-        per-itemset path fetches in), so itemsets sharing rare items
-        share the fetches of their lists.
+        Orders every itemset's items rarest-first, so itemsets sharing
+        rare items share the fetches of their lists.
         """
         counts = {itemset: 0 for itemset in itemsets}
         if not counts:
@@ -340,9 +316,8 @@ class ECUTCounter(SupportCounter):
         items_array = np.asarray(items, dtype=np.int64)
         for block_id in block_ids:
             # Rank items by (per-block count, item): `items` is sorted,
-            # so the index is the tie-break — exactly the stable
-            # count-sort the per-itemset path applies, which keeps the
-            # engine's fetch set a subset of the per-itemset path's.
+            # so the index is the tie-break — a stable count-sort of
+            # each itemset's items.
             keys_matrix, block_counts, key_nbytes = self._tidlists.packed_rows(
                 block_id, items_array
             )
@@ -397,20 +372,10 @@ class ECUTPlusCounter(SupportCounter):
         state.setdefault("_plan_cache", {})
         self.__dict__.update(state)
 
-    def count(
-        self, itemsets: Collection[Itemset], block_ids: Sequence[int]
-    ) -> dict[Itemset, int]:
-        return {
-            itemset: sum(
-                self._count_in_block(itemset, block_id) for block_id in block_ids
-            )
-            for itemset in itemsets
-        }
-
     def count_batch(
         self, itemsets: Collection[Itemset], block_ids: Sequence[int]
     ) -> dict[Itemset, int]:
-        """Batched ECUT+: per block, covers feed the dense engine.
+        """ECUT+: per block, covers feed the dense engine.
 
         Every itemset's :func:`plan_cover` result (against the block's
         materialized pairs) becomes a sequence of fetch keys, ordered
@@ -525,19 +490,3 @@ class ECUTPlusCounter(SupportCounter):
             # stale once pairs arrive; don't cache it.
             self._plan_cache[cache_key] = keys
         return keys
-
-    def _count_in_block(self, itemset: Itemset, block_id: int) -> int:
-        if not itemset:
-            return self._tidlists.block_size(block_id)
-        if len(itemset) == 1:
-            return int(len(self._tidlists.fetch_list(block_id, itemset[0])))
-        available = (
-            self._pairs.available(block_id) if self._pairs.has_block(block_id) else set()
-        )
-        pair_cover, single_cover = plan_cover(itemset, available)
-        lists: list[TidList] = []
-        for pair in pair_cover:
-            lists.append(self._pairs.fetch(block_id, pair))
-        for item in single_cover:
-            lists.append(self._tidlists.fetch_list(block_id, item))
-        return int(len(intersect_many(lists)))

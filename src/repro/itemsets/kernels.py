@@ -1,28 +1,19 @@
-"""Intersection kernels for ECUT-style TID-list counting (§3.1.1).
+"""Physical TID-list representations and bitset-row packing (§3.1.1).
 
-Every ECUT/ECUT+ support count is ultimately an intersection of sorted,
-duplicate-free TID arrays.  ``np.intersect1d`` re-sorts its (already
-sorted) inputs on every call, so this module owns the intersection
-primitives instead — demonlint rule DML006 bans raw ``np.intersect1d``
-everywhere else in ``src/repro``:
+Every ECUT/ECUT+ support count is the cardinality of an intersection
+of per-block TID-lists.  The one counting engine
+(:meth:`~repro.itemsets.counting.ECUTCounter.count_batch`) intersects
+them as rows of bitmap words — a word-wise AND and a row popcount — so
+this module holds no pairwise intersection kernel, only what the
+stores and the engine need to get lists into that form:
 
-* :func:`intersect_gallop` — binary-searches the smaller array into the
-  larger one; ``O(|small| · log |large|)``, the right kernel when the
-  list sizes are skewed (a rare item against a common one).
-* :func:`intersect_merge` — concatenates and stable-sorts; numpy's
-  stable sort on integer keys is a radix sort, so merging two already
-  sorted runs costs ``O(|a| + |b|)`` rather than a comparison sort.
 * :class:`BitmapTidList` — a packed ``uint64`` dense representation of
-  one block's list (one bit per transaction of the block); intersection
-  is a word-wise AND + popcount, and a bitmap∧sorted-array hybrid
-  probes each array element against the bitmap in ``O(|array|)``.
-* :func:`intersect_pair` / :func:`intersect_many` — the adaptive
-  dispatcher of the per-itemset counting path; :func:`force_kernel`
-  pins the array∧array choice for ablation benchmarks.
+  one block's list (one bit per transaction of the block).  Dense items
+  are stored this way because the bitmap is at most half the sorted
+  array's size once an item holds :data:`BITMAP_DENSITY` of its block
+  (a thirty-second of it for an item in every transaction).
 * :func:`pack_rows` — packs lists of either representation into the
-  bitmap-word rows that the batched engine
-  (:meth:`~repro.itemsets.counting.ECUTCounter.count_batch`) ANDs level
-  by level; the batched engine needs no pairwise kernel.
+  bitmap-word rows that the engine ANDs level by level.
 
 The representations carry their *physical* size so the byte-metered I/O
 accounting (``storage/iostats.py``) charges what a disk would serve:
@@ -32,8 +23,7 @@ bitmaps.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
 from typing import Union
 
 import numpy as np
@@ -43,11 +33,6 @@ TID_BYTES = 4
 
 #: dtype used for TID arrays.
 TID_DTYPE = np.int64
-
-#: Use the galloping kernel when the larger array is at least this many
-#: times the smaller one; below the ratio the linear merge wins because
-#: its per-element constant is lower than a binary search.
-GALLOP_RATIO = 8
 
 #: Bits per bitmap word.
 WORD_BITS = 64
@@ -62,28 +47,12 @@ BITMAP_MIN_BLOCK = 128
 #: An item's list switches to the bitmap representation when it holds at
 #: least this fraction of the block's transactions.  At ``1/16`` the
 #: bitmap is already half the array's size (``size/8`` bytes vs
-#: ``4 · len ≥ size/4``) and word-AND intersection beats any
-#: element-wise kernel.
+#: ``4 · len ≥ size/4``).
 BITMAP_DENSITY = 1.0 / 16.0
 
 
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-
-    def _popcount(words: np.ndarray) -> int:
-        return int(np.bitwise_count(words).sum())
-
-else:  # pragma: no cover - exercised only on numpy < 2.0
-
-    def _popcount(words: np.ndarray) -> int:
-        return int(np.unpackbits(words.view(np.uint8)).sum())
-
-
-def _empty() -> np.ndarray:
-    return np.empty(0, dtype=TID_DTYPE)
-
-
 #: The empty TID-list, shared read-only.
-EMPTY_TIDS = _empty()
+EMPTY_TIDS = np.empty(0, dtype=TID_DTYPE)
 EMPTY_TIDS.flags.writeable = False
 
 
@@ -154,73 +123,6 @@ def as_array(tids: TidList) -> np.ndarray:
     return tids.to_array()
 
 
-# ----------------------------------------------------------------------
-# Array ∧ array kernels
-# ----------------------------------------------------------------------
-
-_FORCED_KERNEL: str | None = None
-
-
-@contextmanager
-def force_kernel(name: str | None) -> Iterator[None]:
-    """Pin the array∧array kernel choice (``"gallop"``/``"merge"``).
-
-    Used by the kernel-ablation benchmarks; ``None`` restores adaptive
-    dispatch.  Not thread-safe — benchmarks are single-threaded.
-    """
-    global _FORCED_KERNEL
-    if name not in (None, "gallop", "merge"):
-        raise ValueError(f"unknown kernel {name!r}; use 'gallop', 'merge', or None")
-    previous = _FORCED_KERNEL
-    _FORCED_KERNEL = name
-    try:
-        yield
-    finally:
-        _FORCED_KERNEL = previous
-
-
-def intersect_gallop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersect two sorted unique arrays by searching small into large.
-
-    ``O(|small| · log |large|)`` — wins when the sizes are skewed.
-    """
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    if len(small) == 0:
-        return _empty()
-    positions = np.searchsorted(large, small)
-    # Clamped positions (elements past the end of ``large``) compare a
-    # too-large element against large[-1], which cannot match.
-    return small[np.take(large, positions, mode="clip") == small]
-
-
-def intersect_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersect two sorted unique arrays by a linear merge.
-
-    The concatenation of two sorted runs is stable-sorted (radix sort
-    for integer tids, so effectively ``O(|a| + |b|)``); an element in
-    both inputs appears exactly twice, adjacently.
-    """
-    if len(a) == 0 or len(b) == 0:
-        return _empty()
-    merged = np.concatenate((a, b))
-    merged.sort(kind="stable")
-    return merged[:-1][merged[:-1] == merged[1:]]
-
-
-def intersect_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Adaptive array∧array intersection (gallop vs merge by skew)."""
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    if len(small) == 0:
-        return _empty()
-    if _FORCED_KERNEL == "gallop":
-        return intersect_gallop(small, large)
-    if _FORCED_KERNEL == "merge":
-        return intersect_merge(small, large)
-    if len(large) >= GALLOP_RATIO * len(small):
-        return intersect_gallop(small, large)
-    return intersect_merge(small, large)
-
-
 #: Tids scattered per step of :func:`pack_rows`; bounds its scratch
 #: (about 32 bytes per tid) at a few tens of megabytes.
 PACK_CHUNK_TIDS = 1 << 20
@@ -273,69 +175,3 @@ def pack_rows(
             out[r] = tids.words
     return out
 
-
-# ----------------------------------------------------------------------
-# Bitmap kernels
-# ----------------------------------------------------------------------
-
-
-def intersect_bitmaps(a: BitmapTidList, b: BitmapTidList) -> BitmapTidList:
-    """Word-wise AND of two bitmaps from the same block."""
-    if a.base != b.base or a.size != b.size:
-        raise ValueError("bitmap intersection requires lists of the same block")
-    words = a.words & b.words
-    return BitmapTidList(words, a.base, a.size, _popcount(words))
-
-
-def intersect_bitmap_array(bitmap: BitmapTidList, array: np.ndarray) -> np.ndarray:
-    """Hybrid: keep the sorted tids whose bit is set in the bitmap.
-
-    ``O(|array|)`` — each tid probes one word; the result stays a sorted
-    array (the sparser representation once a hybrid step happened).
-    """
-    if len(array) == 0:
-        return _empty()
-    offsets = (array - bitmap.base).astype(np.uint64)
-    hits = (bitmap.words[offsets >> np.uint64(6)] >> (offsets & np.uint64(63))) & 1
-    return array[hits.astype(bool)]
-
-
-# ----------------------------------------------------------------------
-# Unified dispatch
-# ----------------------------------------------------------------------
-
-
-def intersect_pair(a: TidList, b: TidList) -> TidList:
-    """Intersect two TID-lists of one block, picking the best kernel.
-
-    bitmap∧bitmap stays a bitmap (word AND); bitmap∧array degrades to a
-    sorted array via the hybrid probe; array∧array dispatches between
-    galloping and linear merge on size skew.
-    """
-    a_dense = isinstance(a, BitmapTidList)
-    b_dense = isinstance(b, BitmapTidList)
-    if a_dense and b_dense:
-        return intersect_bitmaps(a, b)
-    if a_dense:
-        return intersect_bitmap_array(a, b)
-    if b_dense:
-        return intersect_bitmap_array(b, a)
-    return intersect_arrays(a, b)
-
-
-def intersect_many(lists: Sequence[TidList]) -> TidList:
-    """Intersect several TID-lists of one block, smallest first.
-
-    The running intersection only shrinks; an empty one short-circuits.
-    Returns an empty array for no input (callers treat the empty
-    itemset separately, as the whole block).
-    """
-    if not lists:
-        return _empty()
-    ordered = sorted(lists, key=len)
-    running: TidList = ordered[0]
-    for other in ordered[1:]:
-        if len(running) == 0:
-            break
-        running = intersect_pair(running, other)
-    return running

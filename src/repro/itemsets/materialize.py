@@ -19,7 +19,7 @@ same byte-metered fetch interface as the single-item store.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Collection, Mapping
 
 import numpy as np
 
@@ -141,21 +141,12 @@ class PairTidListStore:
         """Length of one pair list (catalog metadata, not charged)."""
         return len(self._lists[block_id][pair])
 
-    def lists_view(self, block_id: int) -> Mapping[Pair, np.ndarray]:
-        """Direct (read-only by convention) view of one block's lists.
-
-        Same contract as :meth:`TidListStore.lists_view`: the batched
-        engine meters its own aggregate reads, so every list taken from
-        the view must be charged by the caller.
-        """
-        return self._lists.get(block_id, {})
-
     def packed_rows(
         self, block_id: int, block_size: int
     ) -> tuple[dict[Pair, int], np.ndarray, np.ndarray]:
         """Lazily-built (pair → row, bitset rows, lengths) per block.
 
-        The batched counting engine's bulk access path for pair keys.
+        The counting engine's bulk access path for pair keys.
         Unlike :meth:`TidListStore.packed_rows`, which packs per call,
         the rows are packed once per block (``ceil(block_size / 64)``
         words per pair) and dropped with the block; fetch charges stay

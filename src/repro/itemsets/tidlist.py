@@ -1,4 +1,4 @@
-"""Per-block TID-lists and merge-intersection support counting (§3.1.1).
+"""Per-block TID-lists for ECUT-style support counting (§3.1.1).
 
 ECUT counts the support of an itemset ``X = {i1, ..., ik}`` by
 intersecting the TID-lists ``θ(i1), ..., θ(ik)``; the cardinality of
@@ -18,22 +18,25 @@ each transaction's tid to the list of every item it contains.
 Physically each per-block list is stored either as a sorted tid array
 or — for items dense enough in a large enough block — as a packed
 bitmap (see :mod:`repro.itemsets.kernels`); the store picks the
-representation at :meth:`TidListStore.materialize_block` time and the
-byte-metered fetches charge whichever representation is actually read.
-Materialized arrays are frozen (``writeable = False``): fetches return
-the store's physical arrays without copying, so a caller mutating a
-fetched list would otherwise silently corrupt every later count.
+representation at :meth:`TidListStore.materialize_block` time.  The
+store does not intersect: the counting engine
+(:mod:`repro.itemsets.counting`) takes a block's lists as bitset rows
+through :meth:`TidListStore.packed_rows` and meters their physical
+sizes itself, while :meth:`TidListStore.fetch` serves and charges one
+list at a time.  Materialized arrays are frozen (``writeable = False``):
+fetches return the store's physical arrays without copying, so a caller
+mutating a fetched list would otherwise silently corrupt every later
+count.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
 from typing import Any
 
 import numpy as np
 
 from repro.core.blocks import Block
-from repro.itemsets.itemset import Itemset, Transaction
+from repro.itemsets.itemset import Transaction
 from repro.itemsets.kernels import (
     TID_BYTES,
     TID_DTYPE,
@@ -44,8 +47,6 @@ from repro.itemsets.kernels import (
     WORD_BYTES,
     TidList,
     as_array,
-    intersect_many,
-    intersect_pair,
     list_nbytes,
     pack_rows,
 )
@@ -55,20 +56,7 @@ __all__ = [
     "TID_BYTES",
     "TID_DTYPE",
     "TidListStore",
-    "intersect_sorted",
 ]
-
-
-def intersect_sorted(lists: Sequence[np.ndarray]) -> np.ndarray:
-    """Intersect sorted, duplicate-free tid arrays (adaptive kernels).
-
-    Processes the arrays smallest-first so the running intersection only
-    shrinks; returns an empty array as soon as it empties.  May return
-    one of its inputs unchanged (e.g. a single-element ``lists``), so
-    callers must not mutate the result — store-fetched arrays are
-    read-only precisely to catch that.
-    """
-    return as_array(intersect_many(lists))
 
 
 class TidListStore:
@@ -203,31 +191,6 @@ class TidListStore:
             raise KeyError(f"no TID-lists materialized for block {block_id}")
         return block_lists
 
-    def lists_view(self, block_id: int) -> dict[int, TidList]:
-        """Direct (read-only by convention) view of one block's lists.
-
-        The batched counting engine resolves many lists per block and
-        meters the reads itself in aggregate
-        (:meth:`~repro.storage.iostats.IOStats.record_reads`); going
-        through :meth:`fetch_list` per list would double the engine's
-        Python overhead.  Callers must not mutate the mapping and must
-        charge every list they take from it.
-        """
-        return self._block_lists(block_id)
-
-    def fetch_list(self, block_id: int, item: int) -> TidList:
-        """Fetch one list in its physical representation, charging it.
-
-        The hot counting paths use this and intersect through
-        :mod:`repro.itemsets.kernels`, so dense bitmaps are ANDed
-        word-wise instead of being unpacked.
-        """
-        tids = self._block_lists(block_id).get(item)
-        if tids is None:
-            tids = np.empty(0, dtype=TID_DTYPE)
-        self._stats.record_read(list_nbytes(tids))
-        return tids
-
     def fetch(self, block_id: int, item: int) -> np.ndarray:
         """Fetch one item's TID-list as a sorted array, charging the read.
 
@@ -235,7 +198,9 @@ class TidListStore:
         unpacked for the caller after the (cheaper) bitmap fetch.  The
         returned array is read-only when it aliases store memory.
         """
-        return as_array(self.fetch_list(block_id, item))
+        tids = self._block_lists(block_id).get(item, EMPTY_TIDS)
+        self._stats.record_read(list_nbytes(tids))
+        return as_array(tids)
 
     def item_count(self, block_id: int, item: int) -> int:
         """Length of one per-block list without charging a fetch.
@@ -246,22 +211,13 @@ class TidListStore:
         tids = self._block_lists(block_id).get(item)
         return 0 if tids is None else len(tids)
 
-    def item_counts(self, block_id: int, items: Iterable[int]) -> dict[int, int]:
-        """Catalog lengths for several items at once (not charged)."""
-        block_lists = self._block_lists(block_id)
-        result: dict[int, int] = {}
-        for item in items:
-            tids = block_lists.get(item)
-            result[item] = 0 if tids is None else len(tids)
-        return result
-
     def packed_rows(
         self, block_id: int, items: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Bitmap-word rows, lengths, and physical sizes aligned to ``items``.
 
-        The batched counting engine's bulk access path: one call per
-        block instead of one store fetch per list.  Only the requested
+        The counting engine's bulk access path: one call per block
+        instead of one store fetch per list.  Only the requested
         items are packed, on every call, by
         :func:`~repro.itemsets.kernels.pack_rows`, so the store keeps no
         per-block packed state.  Items absent from the block get an
@@ -288,21 +244,3 @@ class TidListStore:
     def total_nbytes(self) -> int:
         """Physical size of all materialized item TID-lists."""
         return sum(self.nbytes(block_id) for block_id in self._lists)
-
-    def count_itemset_in_block(self, block_id: int, itemset: Itemset) -> int:
-        """Support count of ``itemset`` within one block via intersection."""
-        if not itemset:
-            return self._block_sizes.get(block_id, 0)
-        # Fetch rarest-first and intersect progressively: the running
-        # intersection only shrinks, and an empty one stops the fetches.
-        by_rarity = sorted(itemset, key=lambda item: self.item_count(block_id, item))
-        running = self.fetch_list(block_id, by_rarity[0])
-        for item in by_rarity[1:]:
-            if len(running) == 0:
-                return 0
-            running = intersect_pair(running, self.fetch_list(block_id, item))
-        return int(len(running))
-
-    def count_itemset(self, block_ids: Iterable[int], itemset: Itemset) -> int:
-        """Support count of ``itemset`` over several blocks (additivity)."""
-        return sum(self.count_itemset_in_block(b, itemset) for b in block_ids)

@@ -9,8 +9,8 @@ import pytest
 from repro.core.blocks import make_block
 from repro.itemsets.borders import ItemsetMiningContext, make_counter
 from repro.itemsets.counting import ECUTCounter, ECUTPlusCounter, PTScanCounter
-from repro.itemsets.itemset import contains
 from tests.conftest import random_transactions
+from tests.itemsets.counting_oracle import oracle_io, reference_counts, store_io
 
 
 def build_context(blocks, pairs_with_supports=None):
@@ -29,14 +29,6 @@ def build_context(blocks, pairs_with_supports=None):
     return context
 
 
-def reference_counts(blocks, itemsets, block_ids):
-    selected = [b for b in blocks if b.block_id in block_ids]
-    return {
-        x: sum(1 for b in selected for t in b.tuples if contains(t, x))
-        for x in itemsets
-    }
-
-
 ITEMSETS = [(0,), (1, 2), (1, 2, 3), (0, 3), (2, 5, 7), (4, 9, 11, 13)]
 
 
@@ -53,7 +45,7 @@ class TestCounterAgreement:
     def test_ptscan_exact(self, blocks, block_ids):
         context = build_context(blocks)
         counter = PTScanCounter(context.block_store)
-        assert counter.count(ITEMSETS, block_ids) == reference_counts(
+        assert counter.count_batch(ITEMSETS, block_ids) == reference_counts(
             blocks, ITEMSETS, block_ids
         )
 
@@ -61,7 +53,7 @@ class TestCounterAgreement:
     def test_ecut_exact(self, blocks, block_ids):
         context = build_context(blocks)
         counter = ECUTCounter(context.tidlists)
-        assert counter.count(ITEMSETS, block_ids) == reference_counts(
+        assert counter.count_batch(ITEMSETS, block_ids) == reference_counts(
             blocks, ITEMSETS, block_ids
         )
 
@@ -70,19 +62,20 @@ class TestCounterAgreement:
         pairs = {(1, 2): 100, (2, 5): 50, (0, 3): 40}
         context = build_context(blocks, pairs_with_supports=pairs)
         counter = ECUTPlusCounter(context.tidlists, context.pairs)
-        assert counter.count(ITEMSETS, block_ids) == reference_counts(
+        assert counter.count_batch(ITEMSETS, block_ids) == reference_counts(
             blocks, ITEMSETS, block_ids
         )
 
     def test_ecut_plus_without_pairs_degrades_to_ecut(self, blocks):
+        """No materialized pairs: ECUT+ counts and charges as ECUT."""
         context = build_context(blocks)
         plus = ECUTPlusCounter(context.tidlists, context.pairs)
-        ecut = ECUTCounter(context.tidlists)
-        assert plus.count(ITEMSETS, [1, 2]) == ecut.count(ITEMSETS, [1, 2])
+        got, io = store_io(context, lambda: plus.count_batch(ITEMSETS, [1, 2]))
+        assert (got, io) == oracle_io(blocks, ITEMSETS, [1, 2])
 
     def test_empty_itemset_list(self, blocks):
         context = build_context(blocks)
-        assert PTScanCounter(context.block_store).count([], [1]) == {}
+        assert PTScanCounter(context.block_store).count_batch([], [1]) == {}
 
 
 class TestIOShape:
@@ -93,11 +86,11 @@ class TestIOShape:
         scan_stats = context.block_store.stats
         tid_stats = context.tidlists.stats
         scan_before = scan_stats.bytes_read
-        PTScanCounter(context.block_store).count([(1, 2, 3)], [1, 2, 3])
+        PTScanCounter(context.block_store).count_batch([(1, 2, 3)], [1, 2, 3])
         ptscan_bytes = scan_stats.bytes_read - scan_before
 
         tid_before = tid_stats.bytes_read
-        ECUTCounter(context.tidlists).count([(1, 2, 3)], [1, 2, 3])
+        ECUTCounter(context.tidlists).count_batch([(1, 2, 3)], [1, 2, 3])
         ecut_bytes = tid_stats.bytes_read - tid_before
 
         assert ecut_bytes < ptscan_bytes
@@ -108,12 +101,12 @@ class TestIOShape:
         targets = [(1, 2, 3)]
 
         tid_before = context.tidlists.stats.bytes_read
-        ECUTCounter(context.tidlists).count(targets, [1, 2, 3])
+        ECUTCounter(context.tidlists).count_batch(targets, [1, 2, 3])
         ecut_bytes = context.tidlists.stats.bytes_read - tid_before
 
         tid_before = context.tidlists.stats.bytes_read
         pair_before = context.pairs.stats.bytes_read
-        ECUTPlusCounter(context.tidlists, context.pairs).count(targets, [1, 2, 3])
+        ECUTPlusCounter(context.tidlists, context.pairs).count_batch(targets, [1, 2, 3])
         plus_bytes = (
             context.tidlists.stats.bytes_read
             - tid_before
@@ -126,10 +119,10 @@ class TestIOShape:
         context = build_context(blocks)
         stats = context.block_store.stats
         before = stats.bytes_read
-        PTScanCounter(context.block_store).count([(1,)], [1, 2, 3])
+        PTScanCounter(context.block_store).count_batch([(1,)], [1, 2, 3])
         one = stats.bytes_read - before
         before = stats.bytes_read
-        PTScanCounter(context.block_store).count(ITEMSETS, [1, 2, 3])
+        PTScanCounter(context.block_store).count_batch(ITEMSETS, [1, 2, 3])
         many = stats.bytes_read - before
         assert one == many
 
@@ -148,7 +141,8 @@ class TestMakeCounter:
 
 
 class TestCountBatch:
-    """count_batch must equal count exactly, at fewer charged bytes."""
+    """count_batch against the definitions: supports against
+    :func:`reference_counts`, I/O against :func:`oracle_io`."""
 
     BLOCK_IDS = [1, 2, 3]
 
@@ -175,24 +169,18 @@ class TestCountBatch:
             blocks, ITEMSETS, self.BLOCK_IDS
         )
 
-    def test_ptscan_batch_is_count(self, blocks):
-        context = build_context(blocks)
-        counter = PTScanCounter(context.block_store)
-        assert counter.count_batch(ITEMSETS, [1, 2]) == counter.count(
-            ITEMSETS, [1, 2]
-        )
-
     def test_empty_batch(self, blocks):
         context = build_context(blocks)
         assert ECUTCounter(context.tidlists).count_batch([], [1]) == {}
 
     def test_duplicate_itemsets(self, blocks):
+        """Duplicates are counted, and charged, once."""
         context = build_context(blocks)
         counter = ECUTCounter(context.tidlists)
         targets = [(1, 2), (1, 2), (0,)]
-        assert counter.count_batch(targets, [1, 2]) == counter.count(
-            targets, [1, 2]
-        )
+        got, io = store_io(context, lambda: counter.count_batch(targets, [1, 2]))
+        assert got == reference_counts(blocks, targets, [1, 2])
+        assert (got, io) == oracle_io(blocks, targets, [1, 2])
 
     def test_empty_itemset_counts_block_sizes(self, blocks):
         context = build_context(blocks)
@@ -208,10 +196,13 @@ class TestCountBatch:
         context = build_context([block])
         counter = ECUTCounter(context.tidlists)
         targets = [(0,), (0, 1), (0, 2), (1, 2, 3)]
-        assert counter.count_batch(targets, [1]) == counter.count(targets, [1])
+        got, io = store_io(context, lambda: counter.count_batch(targets, [1]))
+        assert got == reference_counts([block], targets, [1])
+        assert (got, io) == oracle_io([block], targets, [1])
+        # Items 0, 1 and 2 are read; item 3 never is.
+        assert io.reads == 3
 
-    #: Duplicate-free, so the per-itemset path's reads are a fair
-    #: reference: 68 targets of one to four items.
+    #: 68 targets of one to four items.
     CHUNK_TARGETS = list(
         dict.fromkeys(
             ITEMSETS
@@ -220,115 +211,77 @@ class TestCountBatch:
         )
     )
 
-    @staticmethod
-    def _io(context, fn):
-        """``fn()``'s result and (reads, hits, bytes read, bytes cached)
-        summed over the item and pair stores."""
-        stats = (context.tidlists.stats, context.pairs.stats)
-        before = [s.snapshot() for s in stats]
-        result = fn()
-        deltas = [s.delta_since(b) for s, b in zip(stats, before)]
-        fields = ("reads", "cache_hits", "bytes_read", "bytes_cached")
-        return result, tuple(sum(getattr(d, f) for d in deltas) for f in fields)
-
     @pytest.mark.parametrize("rows_per_chunk", [1, 3])
     def test_chunked_ecut_matches_per_itemset_path(
         self, blocks, monkeypatch, rows_per_chunk
     ):
         """One row per chunk, and chunks of three rows that split the 68
-        targets unevenly: counts, ``reads + cache_hits`` and
-        ``bytes_read + bytes_cached`` all equal the per-itemset path's."""
+        targets unevenly: counts and all four accounting totals equal
+        the per-itemset oracle's."""
         import repro.itemsets.counting as counting
 
         targets = self.CHUNK_TARGETS
         assert len(targets) % 3 != 0
         context = build_context(blocks)
         counter = ECUTCounter(context.tidlists)
-        expected, (reads, _, nbytes, _) = self._io(
-            context, lambda: counter.count(targets, self.BLOCK_IDS)
-        )
         row_bytes = 8 * ((len(blocks[0].tuples) + 63) >> 6)
         monkeypatch.setattr(counting, "DENSE_CHUNK_BYTES", rows_per_chunk * row_bytes)
-        got, (b_reads, b_hits, b_bytes, b_cached) = self._io(
+        got, io = store_io(
             context, lambda: counter.count_batch(targets, self.BLOCK_IDS)
         )
-        assert got == expected == reference_counts(blocks, targets, self.BLOCK_IDS)
-        assert b_reads + b_hits == reads
-        assert b_bytes + b_cached == nbytes
+        assert got == reference_counts(blocks, targets, self.BLOCK_IDS)
+        assert (got, io) == oracle_io(blocks, targets, self.BLOCK_IDS)
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 3])
     def test_chunked_ecut_plus_matches_unchunked(
         self, blocks, monkeypatch, rows_per_chunk
     ):
-        """ECUT+ under the same budgets: counts equal :meth:`count`, and
-        the reads, hits and both byte counts equal the unchunked
-        engine's.  (ECUT+'s per-itemset path fetches every cover list
-        even past an empty intersection, so it charges more.)"""
+        """ECUT+ under the same budgets: counts and accounting equal the
+        unchunked engine's and the per-itemset oracle's."""
         import repro.itemsets.counting as counting
 
         targets = self.CHUNK_TARGETS
         pairs = {(1, 2): 100, (2, 5): 50, (0, 3): 40}
         context = build_context(blocks, pairs_with_supports=pairs)
         counter = ECUTPlusCounter(context.tidlists, context.pairs)
-        expected, per_itemset = self._io(
-            context, lambda: counter.count(targets, self.BLOCK_IDS)
-        )
-        unchunked_counts, unchunked = self._io(
+        unchunked = store_io(
             context, lambda: counter.count_batch(targets, self.BLOCK_IDS)
         )
         row_bytes = 8 * ((len(blocks[0].tuples) + 63) >> 6)
         monkeypatch.setattr(counting, "DENSE_CHUNK_BYTES", rows_per_chunk * row_bytes)
-        got, chunked = self._io(
+        chunked = store_io(
             context, lambda: counter.count_batch(targets, self.BLOCK_IDS)
         )
-        assert got == unchunked_counts == expected
-        assert chunked == unchunked
-        assert chunked[0] + chunked[1] <= per_itemset[0]
-        assert chunked[2] + chunked[3] <= per_itemset[2]
-
-    def _delta(self, stats, fn):
-        before = stats.snapshot()
-        fn()
-        return stats.delta_since(before)
+        assert chunked[0] == reference_counts(blocks, targets, self.BLOCK_IDS)
+        assert chunked == unchunked == oracle_io(
+            blocks, targets, self.BLOCK_IDS, pairs=context.pairs
+        )
 
     def test_ecut_batch_io_accounting(self, blocks):
         """Per batch and block: one physical fetch per distinct list,
-        every further use a cache hit — reads + hits and total logical
-        bytes must both equal the per-itemset path's."""
+        every further use a cache hit."""
         context = build_context(blocks)
         counter = ECUTCounter(context.tidlists)
-        stats = context.tidlists.stats
-        unbatched = self._delta(
-            stats, lambda: counter.count(ITEMSETS, self.BLOCK_IDS)
+        got, io = store_io(
+            context, lambda: counter.count_batch(ITEMSETS, self.BLOCK_IDS)
         )
-        batched = self._delta(
-            stats, lambda: counter.count_batch(ITEMSETS, self.BLOCK_IDS)
-        )
-        assert batched.bytes_read < unbatched.bytes_read
-        assert batched.reads + batched.cache_hits == unbatched.reads
-        assert batched.bytes_read + batched.bytes_cached == unbatched.bytes_read
+        assert (got, io) == oracle_io(blocks, ITEMSETS, self.BLOCK_IDS)
+        # ITEMSETS share items 1, 2 and 3, so some uses are hits.
+        assert io.cache_hits > 0 and io.bytes_cached > 0
 
     def test_ecut_plus_batch_reads_fewer_bytes(self, blocks):
+        """Shared cover keys are read once: fewer bytes than the summed
+        size of every key use."""
         pairs = {(1, 2): 100, (2, 5): 50}
         context = build_context(blocks, pairs_with_supports=pairs)
         counter = ECUTPlusCounter(context.tidlists, context.pairs)
-
-        def total_bytes(fn):
-            t0 = context.tidlists.stats.bytes_read
-            p0 = context.pairs.stats.bytes_read
-            fn()
-            return (
-                context.tidlists.stats.bytes_read
-                - t0
-                + context.pairs.stats.bytes_read
-                - p0
-            )
-
-        unbatched = total_bytes(lambda: counter.count(ITEMSETS, self.BLOCK_IDS))
-        batched = total_bytes(
-            lambda: counter.count_batch(ITEMSETS, self.BLOCK_IDS)
+        got, io = store_io(
+            context, lambda: counter.count_batch(ITEMSETS, self.BLOCK_IDS)
         )
-        assert batched < unbatched
+        assert (got, io) == oracle_io(
+            blocks, ITEMSETS, self.BLOCK_IDS, pairs=context.pairs
+        )
+        assert io.bytes_cached > 0
 
 
 class TestLargeBlock:
@@ -338,40 +291,35 @@ class TestLargeBlock:
     N_ITEMS = 320
 
     @pytest.fixture(scope="class")
-    def context(self):
+    def block(self):
         # Item densities from 0.5% to 15%, so the block holds both
         # sorted-array and bitmap lists.
         rng = np.random.default_rng(0)
         densities = np.linspace(0.005, 0.15, self.N_ITEMS)
         member = rng.random((self.BLOCK_SIZE, self.N_ITEMS)) < densities
-        block = make_block(
+        return make_block(
             1, [tuple(np.flatnonzero(row).tolist()) for row in member]
         )
+
+    @pytest.fixture(scope="class")
+    def context(self, block):
         context = ItemsetMiningContext()
         context.tidlists.materialize_block(block)
         return context
 
-    def test_accounting_matches_per_itemset_path(self, context):
+    def test_accounting_matches_per_itemset_path(self, block, context):
         """Every pair over 120 items: 7140 candidates.  The batch is
         larger than ``(items + candidates) × block_size = 2^26`` cells,
         yet each candidate's use of a list is still one read or one
-        cache hit, as on the per-itemset path."""
+        cache hit, as the per-itemset oracle charges."""
         items = range(120)
         targets = list(itertools.combinations(items, 2))
         assert (len(items) + len(targets)) * self.BLOCK_SIZE > 1 << 26
         counter = ECUTCounter(context.tidlists)
-        stats = context.tidlists.stats
-        before = stats.snapshot()
-        expected = counter.count(targets, [1])
-        unbatched = stats.delta_since(before)
-        before = stats.snapshot()
-        got = counter.count_batch(targets, [1])
-        batched = stats.delta_since(before)
-        assert got == expected
-        assert batched.reads + batched.cache_hits == unbatched.reads
-        assert batched.bytes_read + batched.bytes_cached == unbatched.bytes_read
+        got, io = store_io(context, lambda: counter.count_batch(targets, [1]))
+        assert (got, io) == oracle_io([block], targets, [1])
 
-    def test_peak_memory_is_bounded_by_the_chunk_budget(self, context):
+    def test_peak_memory_is_bounded_by_the_chunk_budget(self, block, context):
         """``count_batch`` over all 51,040 pairs of 320 items stays under
         the sum of what it must hold:
 
@@ -409,8 +357,9 @@ class TestLargeBlock:
         counter = ECUTCounter(context.tidlists)
         tracemalloc.start()
         try:
-            counter.count_batch(targets, [1])
+            got = counter.count_batch(targets, [1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < bound
+        assert got == oracle_io([block], targets, [1])[0]

@@ -1,23 +1,16 @@
-"""Tests for the intersection kernels behind ECUT-style counting."""
+"""Tests for the TID-list representations and bitset-row packing."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.itemsets.counting import _row_popcounts
 from repro.itemsets.kernels import (
-    TID_BYTES,
     TID_DTYPE,
     WORD_BYTES,
     BitmapTidList,
-    force_kernel,
-    intersect_arrays,
-    intersect_bitmap_array,
-    intersect_bitmaps,
-    intersect_gallop,
-    intersect_many,
-    intersect_merge,
-    intersect_pair,
+    as_array,
     list_nbytes,
     pack_rows,
 )
@@ -37,38 +30,23 @@ CASES = [
 ]
 
 
+def packed_and(lists, block_size):
+    """The engine's intersection: AND of the lists' packed rows,
+    unpacked to sorted tids; the engine's row popcount must count them."""
+    rows = pack_rows(lists, base_tid=0, block_size=block_size)
+    words = np.bitwise_and.reduce(rows, axis=0, keepdims=True)
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    tids = np.flatnonzero(bits).tolist()
+    assert _row_popcounts(words).tolist() == [len(tids)]
+    return tids
+
+
 class TestArrayKernels:
+    """Sorted arrays through the engine's intersection."""
+
     @pytest.mark.parametrize("a,b", CASES)
     def test_kernels_agree_with_reference(self, a, b):
-        expected = np.intersect1d(a, b).tolist()  # demonlint: disable=DML006 (reference oracle)
-        assert intersect_gallop(a, b).tolist() == expected
-        assert intersect_merge(a, b).tolist() == expected
-        assert intersect_arrays(a, b).tolist() == expected
-
-    @pytest.mark.parametrize("a,b", CASES)
-    @pytest.mark.parametrize("kernel", ["gallop", "merge"])
-    def test_forced_kernels_agree(self, a, b, kernel):
-        expected = np.intersect1d(a, b).tolist()  # demonlint: disable=DML006 (reference oracle)
-        with force_kernel(kernel):
-            assert intersect_arrays(a, b).tolist() == expected
-
-    def test_force_kernel_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            with force_kernel("bogus"):
-                pass
-
-    def test_force_kernel_restores_on_exit(self):
-        skewed = (arr(5), arr(*range(100)))
-        with force_kernel("merge"):
-            pass
-        # Back to adaptive: a 1-vs-100 skew must not error and must
-        # still match the reference result.
-        assert intersect_arrays(*skewed).tolist() == [5]
-
-    def test_gallop_element_past_end_of_large(self):
-        # The clamped searchsorted position compares against large[-1];
-        # a probe beyond it must not match.
-        assert intersect_gallop(arr(99), arr(1, 2, 3)).tolist() == []
+        assert packed_and([a, b], block_size=16) == np.intersect1d(a, b).tolist()
 
 
 class TestBitmap:
@@ -92,55 +70,6 @@ class TestBitmap:
         bitmap = BitmapTidList.from_array(arr(1, 2), base=0, size=128)
         with pytest.raises(ValueError):
             bitmap.words[0] = 0
-
-    def test_intersect_bitmaps(self):
-        a = BitmapTidList.from_array(arr(1, 2, 3, 70), base=0, size=128)
-        b = BitmapTidList.from_array(arr(2, 70, 100), base=0, size=128)
-        result = intersect_bitmaps(a, b)
-        assert result.to_array().tolist() == [2, 70]
-        assert result.count == 2
-
-    def test_intersect_bitmaps_block_mismatch(self):
-        a = BitmapTidList.from_array(arr(1), base=0, size=128)
-        b = BitmapTidList.from_array(arr(129), base=128, size=128)
-        with pytest.raises(ValueError):
-            intersect_bitmaps(a, b)
-
-    def test_intersect_bitmap_array(self):
-        bitmap = BitmapTidList.from_array(arr(1, 2, 3, 70), base=0, size=128)
-        assert intersect_bitmap_array(bitmap, arr(2, 5, 70)).tolist() == [2, 70]
-        assert intersect_bitmap_array(bitmap, arr()).tolist() == []
-
-
-class TestUnifiedDispatch:
-    def _reps(self, tids):
-        return [tids, BitmapTidList.from_array(tids, base=0, size=128)]
-
-    def test_intersect_pair_all_representation_combos(self):
-        left, right = arr(1, 2, 3, 70), arr(2, 70, 100)
-        expected = [2, 70]
-        for a in self._reps(left):
-            for b in self._reps(right):
-                result = intersect_pair(a, b)
-                got = (
-                    result.to_array()
-                    if isinstance(result, BitmapTidList)
-                    else result
-                )
-                assert got.tolist() == expected
-
-    def test_intersect_many_mixed(self):
-        lists = [
-            arr(1, 2, 3, 70, 100),
-            BitmapTidList.from_array(arr(2, 3, 70, 100), base=0, size=128),
-            arr(2, 70, 101),
-        ]
-        result = intersect_many(lists)
-        got = result.to_array() if isinstance(result, BitmapTidList) else result
-        assert got.tolist() == [2, 70]
-
-    def test_intersect_many_empty_input(self):
-        assert len(intersect_many([])) == 0
 
 
 class TestPackRows:
@@ -190,11 +119,11 @@ class TestPackRows:
 class TestCompressedDomain:
     """The packed bitmap representation is invisible to counting.
 
-    Every pairwise combination of representations — sorted array and
-    packed bitmap — must intersect and count exactly like
-    ``np.intersect1d`` on the unpacked arrays; hypothesis drives the
-    tid sets so the property holds for arbitrary block contents, not
-    just the directed cases above.
+    Lists in either representation — sorted array and packed bitmap —
+    pack to the same bitset rows, so the counting engine's row AND and
+    popcount intersect and count them exactly like ``np.intersect1d``
+    on the unpacked arrays; hypothesis drives the tid sets so the
+    property holds for arbitrary block contents.
     """
 
     SIZE = 4096
@@ -209,16 +138,14 @@ class TestCompressedDomain:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_all_combos_match_intersect1d(self, data):
-        from repro.itemsets.kernels import as_array
-
         tid = st.lists(st.integers(0, self.SIZE - 1), max_size=120).map(
             lambda v: np.asarray(sorted(set(v)), dtype=TID_DTYPE)
         )
         left, right = data.draw(tid), data.draw(tid)
-        expected = np.intersect1d(left, right).tolist()  # demonlint: disable=DML006 (reference oracle)
+        expected = np.intersect1d(left, right).tolist()
         for a in self.reps(left):
             for b in self.reps(right):
-                assert as_array(intersect_pair(a, b)).tolist() == expected
+                assert packed_and([a, b], self.SIZE) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -227,23 +154,19 @@ class TestCompressedDomain:
         )
     )
     def test_compressed_round_trip_and_len(self, tids):
-        from repro.itemsets.kernels import as_array
-
         for rep in self.reps(tids):
             assert len(rep) == len(tids)
             assert as_array(rep).tolist() == tids.tolist()
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_intersect_many_mixed_representations(self, data):
-        from repro.itemsets.kernels import as_array
-
+    def test_and_of_mixed_representations(self, data):
         tid = st.lists(st.integers(0, self.SIZE - 1), max_size=80).map(
             lambda v: np.asarray(sorted(set(v)), dtype=TID_DTYPE)
         )
         arrays = [data.draw(tid) for _ in range(3)]
         expected = arrays[0]
         for other in arrays[1:]:
-            expected = np.intersect1d(expected, other)  # demonlint: disable=DML006 (reference oracle)
+            expected = np.intersect1d(expected, other)
         mixed = [self.reps(tids)[i % 2] for i, tids in enumerate(arrays)]
-        assert as_array(intersect_many(mixed)).tolist() == expected.tolist()
+        assert packed_and(mixed, self.SIZE) == expected.tolist()

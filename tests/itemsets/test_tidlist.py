@@ -1,12 +1,13 @@
-"""Tests for per-block TID-lists and ECUT-style intersection counting."""
+"""Tests for per-block TID-lists and ECUT counting over them."""
 
 import numpy as np
 import pytest
 
 from repro.core.blocks import make_block
-from repro.itemsets.itemset import contains
-from repro.itemsets.tidlist import TID_BYTES, TidListStore, intersect_sorted
+from repro.itemsets.counting import ECUTCounter
+from repro.itemsets.tidlist import TID_BYTES, TidListStore
 from repro.storage.iostats import IOStatsRegistry
+from tests.itemsets.counting_oracle import reference_counts
 
 
 BLOCK1 = make_block(1, [(1, 2), (1, 3), (2, 3), (1, 2, 3)])
@@ -18,26 +19,6 @@ def store_with_blocks():
     store.materialize_block(BLOCK1)
     store.materialize_block(BLOCK2)
     return store
-
-
-class TestIntersectSorted:
-    def test_basic(self):
-        a = np.array([1, 3, 5, 7])
-        b = np.array([3, 4, 5])
-        assert intersect_sorted([a, b]).tolist() == [3, 5]
-
-    def test_empty_input(self):
-        assert len(intersect_sorted([])) == 0
-
-    def test_single_list(self):
-        assert intersect_sorted([np.array([1, 2])]).tolist() == [1, 2]
-
-    def test_disjoint(self):
-        assert len(intersect_sorted([np.array([1]), np.array([2])])) == 0
-
-    def test_three_way(self):
-        lists = [np.array([1, 2, 3, 4]), np.array([2, 3, 4]), np.array([3, 4, 9])]
-        assert intersect_sorted(lists).tolist() == [3, 4]
 
 
 class TestTidListStore:
@@ -71,24 +52,26 @@ class TestTidListStore:
         assert store.item_count(1, 1) == 3
         assert store.stats.bytes_read == before
 
-    def test_count_itemset_in_block(self):
-        store = store_with_blocks()
-        for itemset in [(1,), (1, 2), (2, 3), (1, 2, 3)]:
-            expected = sum(1 for t in BLOCK1.tuples if contains(t, itemset))
-            assert store.count_itemset_in_block(1, itemset) == expected
+    def test_ecut_counts_one_block(self):
+        counter = ECUTCounter(store_with_blocks())
+        itemsets = [(1,), (1, 2), (2, 3), (1, 2, 3)]
+        assert counter.count_batch(itemsets, [1]) == reference_counts(
+            [BLOCK1], itemsets, [1]
+        )
 
-    def test_count_itemset_additivity(self):
+    def test_ecut_counts_are_additive_over_blocks(self):
         """Support over several blocks is the sum of per-block supports."""
-        store = store_with_blocks()
-        combined = store.count_itemset([1, 2], (1, 2))
-        per_block = store.count_itemset_in_block(1, (1, 2)) + (
-            store.count_itemset_in_block(2, (1, 2))
+        counter = ECUTCounter(store_with_blocks())
+        combined = counter.count_batch([(1, 2)], [1, 2])[(1, 2)]
+        per_block = (
+            counter.count_batch([(1, 2)], [1])[(1, 2)]
+            + counter.count_batch([(1, 2)], [2])[(1, 2)]
         )
         assert combined == per_block == 4
 
     def test_empty_itemset_counts_block_size(self):
-        store = store_with_blocks()
-        assert store.count_itemset_in_block(1, ()) == 4
+        counter = ECUTCounter(store_with_blocks())
+        assert counter.count_batch([()], [1]) == {(): 4}
 
     def test_fetch_charges_io(self):
         registry = IOStatsRegistry()
@@ -128,7 +111,7 @@ class TestTidListStore:
         """Rarest-first fetching stops once the intersection is empty."""
         store = store_with_blocks()
         before = store.stats.reads
-        assert store.count_itemset_in_block(1, (1, 99)) == 0
+        assert ECUTCounter(store).count_batch([(1, 99)], [1]) == {(1, 99): 0}
         # Item 99 (empty list) is fetched first; item 1 is never read.
         assert store.stats.reads == before + 1
 
@@ -145,30 +128,19 @@ class TestReadOnlyMaterialization:
         with pytest.raises(ValueError):
             tids[0] = 99  # demonlint: disable=DML010 (asserts the freeze)
 
-    def test_fetch_list_is_frozen(self):
-        store = store_with_blocks()
-        tids = store.fetch_list(1, 2)
-        assert not tids.flags.writeable
-
     def test_mutation_attempt_does_not_corrupt_counts(self):
         store = store_with_blocks()
-        expected = store.count_itemset_in_block(1, (1, 2))
+        counter = ECUTCounter(store)
+        expected = reference_counts([BLOCK1], [(1, 2)], [1])
         with pytest.raises(ValueError):
             store.fetch(1, 1)[0] = 99  # demonlint: disable=DML010 (asserts the freeze)
-        assert store.count_itemset_in_block(1, (1, 2)) == expected
-
-    def test_intersect_sorted_single_list_aliases_frozen_input(self):
-        """intersect_sorted may return an input unchanged; the freeze is
-        what keeps that aliasing safe."""
-        store = store_with_blocks()
-        result = intersect_sorted([store.fetch(1, 1)])
-        assert not result.flags.writeable
+        assert counter.count_batch([(1, 2)], [1]) == expected
 
     def test_bitmap_words_are_frozen(self):
         block = make_block(7, [(1,)] * 128 + [(2,)] * 8)
         store = TidListStore()
         store.materialize_block(block)
-        dense = store.fetch_list(7, 1)
+        dense = store._lists[7][1]
         from repro.itemsets.kernels import BitmapTidList
 
         assert isinstance(dense, BitmapTidList)

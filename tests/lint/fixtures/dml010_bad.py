@@ -17,13 +17,13 @@ def augmented_assign(store):
 
 
 def inplace_mutator(store):
-    view = store.lists_view()
-    view.sort()
-    return view
+    rows = store.packed_rows([1, 2])
+    rows.sort()
+    return rows
 
 
 def thaw_then_write(store):
-    tids = store.fetch_list(3)
+    tids = store.fetch(1, 3)
     tids.setflags(write=True)
     return tids
 

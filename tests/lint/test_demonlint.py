@@ -19,7 +19,7 @@ from tools.demonlint.reporter import render_json, render_text  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ALL_RULES = (
-    "DML001", "DML002", "DML003", "DML004", "DML005", "DML006", "DML007",
+    "DML001", "DML002", "DML003", "DML004", "DML005", "DML007",
     "DML008", "DML009", "DML010", "DML011", "DML012", "DML013",
     "DML014", "DML015", "DML016", "DML017", "DML018", "DML019",
     "DML020", "DML021", "DML022", "DML023", "DML024",

@@ -1,10 +1,11 @@
-"""Property-based tests for the batched counting engine.
+"""Property-based tests for the counting engine.
 
 On random blocks and random target itemsets, ``count_batch`` must
-return exactly the per-itemset path's supports while charging no more
-logical bytes — and for plain ECUT, exactly the per-itemset fetch plan:
-every unbatched read resurfaces as either one physical read or one
-cache hit, and read + cached bytes add up to the unbatched bytes.
+return exactly the supports of a full scan, and charge exactly the
+accounting of the per-itemset oracle (``tests/itemsets/
+counting_oracle.py``): every key use is one physical read or one cache
+hit, reads are the distinct keys used per block, and read + cached
+bytes add up to the summed size of every use.
 """
 
 import pytest
@@ -15,7 +16,7 @@ import repro.itemsets.counting as counting
 from repro.core.blocks import make_block
 from repro.itemsets.borders import ItemsetMiningContext
 from repro.itemsets.counting import ECUTCounter, ECUTPlusCounter
-from repro.itemsets.itemset import contains
+from tests.itemsets.counting_oracle import oracle_io, reference_counts, store_io
 
 items = st.integers(min_value=0, max_value=10)
 transactions = st.sets(items, min_size=0, max_size=6).map(
@@ -24,10 +25,7 @@ transactions = st.sets(items, min_size=0, max_size=6).map(
 blocks_strategy = st.lists(
     st.lists(transactions, min_size=1, max_size=20), min_size=1, max_size=3
 )
-# Unique: the per-itemset path re-counts (and re-charges) duplicate
-# targets while the batch dedups them, so the read-replay invariant
-# below is stated for duplicate-free target lists.  Duplicate inputs
-# are covered by the agreement unit tests.
+# Duplicate inputs are covered by the agreement unit tests.
 targets_strategy = st.lists(
     st.sets(items, min_size=0, max_size=4).map(lambda s: tuple(sorted(s))),
     min_size=1,
@@ -61,13 +59,6 @@ def build(raw_blocks, with_pairs=False):
     return blocks, context
 
 
-def reference(blocks, itemsets):
-    return {
-        x: sum(1 for b in blocks for t in b.tuples if contains(t, x))
-        for x in itemsets
-    }
-
-
 class TestBatchedECUT:
     @settings(max_examples=40, deadline=None)
     @given(blocks_strategy, targets_strategy)
@@ -75,24 +66,11 @@ class TestBatchedECUT:
         blocks, context = build(raw)
         counter = ECUTCounter(context.tidlists)
         block_ids = [b.block_id for b in blocks]
-        stats = context.tidlists.stats
 
-        before = stats.snapshot()
-        expected = counter.count(targets, block_ids)
-        unbatched = stats.delta_since(before)
+        got, io = store_io(context, lambda: counter.count_batch(targets, block_ids))
 
-        before = stats.snapshot()
-        got = counter.count_batch(targets, block_ids)
-        batched = stats.delta_since(before)
-
-        assert got == expected == reference(blocks, targets)
-        # Same fetch plan, shared: physical reads + cache hits replay
-        # the per-itemset reads exactly, and the byte split is lossless.
-        assert batched.bytes_read <= unbatched.bytes_read
-        assert batched.reads + batched.cache_hits == unbatched.reads
-        assert (
-            batched.bytes_read + batched.bytes_cached == unbatched.bytes_read
-        )
+        assert got == reference_counts(blocks, targets, block_ids)
+        assert (got, io) == oracle_io(blocks, targets, block_ids)
 
     @settings(max_examples=25, deadline=None)
     @given(blocks_strategy, targets_strategy, st.integers(min_value=1, max_value=70))
@@ -100,27 +78,18 @@ class TestBatchedECUT:
         """These blocks of 1-20 transactions have one-word (8-byte) rows,
         so a chunk budget of ``budget`` bytes holds one to eight rows:
         chunks split the batch unevenly or into single rows.  Counts and
-        both accounting sums still equal the per-itemset path's."""
+        accounting still equal the oracle's."""
         blocks, context = build(raw)
         counter = ECUTCounter(context.tidlists)
         block_ids = [b.block_id for b in blocks]
-        stats = context.tidlists.stats
-
-        before = stats.snapshot()
-        expected = counter.count(targets, block_ids)
-        unbatched = stats.delta_since(before)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(counting, "DENSE_CHUNK_BYTES", budget)
-            before = stats.snapshot()
-            got = counter.count_batch(targets, block_ids)
-            batched = stats.delta_since(before)
+            got, io = store_io(
+                context, lambda: counter.count_batch(targets, block_ids)
+            )
 
-        assert got == expected
-        assert batched.reads + batched.cache_hits == unbatched.reads
-        assert (
-            batched.bytes_read + batched.bytes_cached == unbatched.bytes_read
-        )
+        assert (got, io) == oracle_io(blocks, targets, block_ids)
 
 
 class TestBatchedECUTPlus:
@@ -131,21 +100,9 @@ class TestBatchedECUTPlus:
         counter = ECUTPlusCounter(context.tidlists, context.pairs)
         block_ids = [b.block_id for b in blocks]
 
-        def totals():
-            return (
-                context.tidlists.stats.bytes_read
-                + context.pairs.stats.bytes_read
-            )
+        got, io = store_io(context, lambda: counter.count_batch(targets, block_ids))
 
-        before = totals()
-        expected = counter.count(targets, block_ids)
-        unbatched_bytes = totals() - before
-
-        before = totals()
-        got = counter.count_batch(targets, block_ids)
-        batched_bytes = totals() - before
-
-        assert got == expected == reference(blocks, targets)
-        # The batched path prunes dead prefixes the per-itemset ECUT+
-        # path does not, so <= (strict inequality needs shared keys).
-        assert batched_bytes <= unbatched_bytes
+        assert got == reference_counts(blocks, targets, block_ids)
+        assert (got, io) == oracle_io(
+            blocks, targets, block_ids, pairs=context.pairs
+        )

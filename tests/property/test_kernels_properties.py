@@ -1,10 +1,8 @@
-"""Property-based tests: intersection kernels vs the numpy reference.
+"""Property-based tests: TID-list representations and bitset packing.
 
-Every kernel must agree exactly with ``np.intersect1d`` on random
-sorted, duplicate-free tid arrays — the kernels exist to beat its
-performance (it re-sorts sorted inputs), never to change its answer.
+A bitmap must round-trip to its sorted tid array, and packed rows must
+unpack to exactly the lists they were packed from.
 """
-# demonlint: disable-file=DML006 (np.intersect1d is the reference oracle here)
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,39 +11,17 @@ from hypothesis import strategies as st
 from repro.itemsets.kernels import (
     TID_DTYPE,
     BitmapTidList,
-    intersect_arrays,
-    intersect_gallop,
-    intersect_merge,
-    intersect_pair,
     pack_rows,
 )
 
 BLOCK_SIZE = 256
 
 
-def sorted_unique(max_value=2000, max_size=150):
-    return st.sets(
-        st.integers(min_value=0, max_value=max_value), max_size=max_size
-    ).map(lambda s: np.asarray(sorted(s), dtype=TID_DTYPE))
-
-
-#: Arrays whose tids fit one block of BLOCK_SIZE transactions, so they
-#: can also be packed into bitmaps.
-block_arrays = sorted_unique(max_value=BLOCK_SIZE - 1, max_size=BLOCK_SIZE)
-
-
-class TestArrayKernelsAgree:
-    @given(sorted_unique(), sorted_unique())
-    def test_gallop_matches_reference(self, a, b):
-        assert intersect_gallop(a, b).tolist() == np.intersect1d(a, b).tolist()
-
-    @given(sorted_unique(), sorted_unique())
-    def test_merge_matches_reference(self, a, b):
-        assert intersect_merge(a, b).tolist() == np.intersect1d(a, b).tolist()
-
-    @given(sorted_unique(), sorted_unique())
-    def test_adaptive_matches_reference(self, a, b):
-        assert intersect_arrays(a, b).tolist() == np.intersect1d(a, b).tolist()
+#: Sorted, duplicate-free tid arrays that fit one block of BLOCK_SIZE
+#: transactions, so they can also be packed into bitmaps.
+block_arrays = st.sets(
+    st.integers(min_value=0, max_value=BLOCK_SIZE - 1), max_size=BLOCK_SIZE
+).map(lambda s: np.asarray(sorted(s), dtype=TID_DTYPE))
 
 
 class TestBitmapAgree:
@@ -54,23 +30,6 @@ class TestBitmapAgree:
         bitmap = BitmapTidList.from_array(tids, base=0, size=BLOCK_SIZE)
         assert bitmap.to_array().tolist() == tids.tolist()
         assert len(bitmap) == len(tids)
-
-    @given(block_arrays, block_arrays, st.integers(0, 3))
-    def test_intersect_pair_all_representations(self, a, b, combo):
-        expected = np.intersect1d(a, b).tolist()
-        left = (
-            BitmapTidList.from_array(a, base=0, size=BLOCK_SIZE)
-            if combo & 1
-            else a
-        )
-        right = (
-            BitmapTidList.from_array(b, base=0, size=BLOCK_SIZE)
-            if combo & 2
-            else b
-        )
-        result = intersect_pair(left, right)
-        got = result.to_array() if isinstance(result, BitmapTidList) else result
-        assert got.tolist() == expected
 
 
 class TestPackRowsAgree:

@@ -14,9 +14,6 @@ Static rules (see ``docs/STATIC_ANALYSIS.md`` for the paper mapping):
   critical-path/off-line split of Algorithm 3.1 stays measurable.
 * **DML005** — no mutable default arguments, no dict mutation during
   iteration, no bare ``except:`` in ``src/repro``.
-* **DML006** — no raw ``numpy.intersect1d`` outside
-  ``itemsets/kernels.py``; TID-list intersections go through the
-  adaptive gallop/merge/bitmap kernels (§3.1.1).
 * **DML007** — no raw ``Stopwatch`` construction or ``perf_counter``
   reads outside ``repro/storage/`` and ``benchmarks/``; timed spans go
   through the ``Telemetry`` spine so sessions can aggregate them.

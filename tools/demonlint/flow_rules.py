@@ -613,7 +613,7 @@ def _interprocedural_phases(graph: ProjectGraph) -> dict[str, set[str]]:
 # ----------------------------------------------------------------------
 
 #: Attribute-call names whose results are frozen materialized arrays.
-FROZEN_SOURCE_METHODS = frozenset({"fetch", "fetch_list", "lists_view", "packed_rows"})
+FROZEN_SOURCE_METHODS = frozenset({"fetch", "packed_rows"})
 #: Project functions (dotted suffixes) returning frozen arrays.
 FROZEN_SOURCE_FUNCTIONS = ("pack_rows",)
 #: Calls that launder a frozen array into a private writable copy.

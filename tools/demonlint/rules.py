@@ -1,4 +1,4 @@
-"""The per-file demonlint rule set (DML001–DML007, DML013).
+"""The per-file demonlint rule set (DML001–DML005, DML007, DML013).
 
 Each rule encodes one maintainer contract the DEMON paper states in
 prose; ``docs/STATIC_ANALYSIS.md`` carries the section references and
@@ -638,58 +638,6 @@ class HygieneRule(Rule):
                     message=(
                         f"'{key}' is mutated while being iterated — "
                         f"iterate over list({key}) or collect changes first"
-                    ),
-                )
-
-
-# ----------------------------------------------------------------------
-# DML006 — TID-list intersections go through the kernel module
-# ----------------------------------------------------------------------
-
-#: The one module allowed to reference ``np.intersect1d``: the kernel
-#: module that replaces it (its docstring cites the function it beats).
-INTERSECT_ALLOWED_SUFFIXES = ("itemsets/kernels.py",)
-
-
-def _intersect_allowed(relpath: str) -> bool:
-    normalized = relpath.replace("\\", "/")
-    return any(normalized.endswith(s) for s in INTERSECT_ALLOWED_SUFFIXES)
-
-
-@register
-class IntersectKernelRule(Rule):
-    """DML006: no raw ``np.intersect1d`` outside ``itemsets/kernels.py``.
-
-    Every ECUT/ECUT+ intersection runs on *already sorted, duplicate
-    free* TID arrays; ``np.intersect1d`` re-sorts its inputs on every
-    call and cannot use the bitmap representation at all.  The adaptive
-    kernels in ``repro.itemsets.kernels`` (galloping search, linear
-    merge, bitmap AND) exist precisely to replace it, so any other use
-    in ``src/repro`` silently bypasses kernel dispatch and the
-    benchmarks' ablation story.
-    """
-
-    rule_id = "DML006"
-    title = "np.intersect1d outside the intersection-kernel module"
-
-    def check(self, module: ModuleInfo, project: Project) -> Iterator[Violation]:
-        if _intersect_allowed(module.relpath):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = module.resolve_call(node.func)
-            if resolved == "numpy.intersect1d":
-                yield Violation(
-                    path=module.relpath,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    rule_id=self.rule_id,
-                    message=(
-                        "np.intersect1d re-sorts its already-sorted inputs; "
-                        "use repro.itemsets.kernels (intersect_pair / "
-                        "intersect_many) so the adaptive "
-                        "gallop/merge/bitmap dispatch stays in one place"
                     ),
                 )
 
