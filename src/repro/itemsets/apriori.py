@@ -7,11 +7,16 @@ itemsets all of whose proper subsets are frequent.  Apriori enumerates
 the border for free: its level-``k`` candidates are exactly the
 itemsets whose ``(k-1)``-subsets are all frequent, so the candidates
 that fail the support test at each level are the border members.
+
+:func:`mine_transactions`, the reference that tests compare against,
+counts each level by a prefix-tree scan; ``BordersMaintainer.build``
+counts on the blocks' TID-lists.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.itemsets.itemset import (
@@ -20,7 +25,7 @@ from repro.itemsets.itemset import (
     generate_candidates,
     minimum_count,
 )
-from repro.itemsets.prefix_tree import PrefixTree
+from repro.itemsets.prefix_tree import count_supports
 
 
 @dataclass
@@ -55,23 +60,55 @@ class MiningResult:
         return {x: c for x, c in self.frequent.items() if len(x) == size}
 
 
-def _scan_items(transactions: Iterable[Transaction]) -> tuple[dict[int, int], int]:
-    """One pass: per-item counts and the number of transactions."""
-    counts: dict[int, int] = {}
-    total = 0
-    for transaction in transactions:
-        total += 1
-        for item in transaction:
-            counts[item] = counts.get(item, 0) + 1
-    return counts, total
-
-
 def apriori(
-    transactions_factory,
+    item_counts: Mapping[int, int],
+    n_transactions: int,
+    minsup: float,
+    count_level: Callable[[set[Itemset]], Mapping[Itemset, int]],
+    max_size: int | None = None,
+) -> MiningResult:
+    """Mine frequent itemsets and the negative border, level by level.
+
+    Args:
+        item_counts: Support count of every item in the dataset.
+        n_transactions: ``|D|``.
+        minsup: Minimum support threshold ``κ`` in ``(0, 1)``.
+        count_level: Counts one level's candidates over the dataset.
+        max_size: Optional cap on itemset size (mainly for tests).
+
+    Returns:
+        A :class:`MiningResult`; ``passes`` counts the item level too.
+    """
+    result = MiningResult(n_transactions=n_transactions, minsup=minsup, passes=1)
+    if n_transactions == 0:
+        return result
+    mincount = minimum_count(minsup, n_transactions)
+
+    counted: Mapping[Itemset, int] = {(item,): c for item, c in item_counts.items()}
+    while True:
+        current_level: dict[Itemset, int] = {}
+        for itemset, count in counted.items():
+            if count >= mincount:
+                current_level[itemset] = count
+                result.frequent[itemset] = count
+            else:
+                result.border[itemset] = count
+        if not current_level or (max_size is not None and result.passes >= max_size):
+            break
+        candidates = generate_candidates(current_level.keys())
+        if not candidates:
+            break
+        counted = count_level(candidates)
+        result.passes += 1
+    return result
+
+
+def mine_transactions(
+    transactions_factory: Callable[[], Iterable[Transaction]],
     minsup: float,
     max_size: int | None = None,
 ) -> MiningResult:
-    """Mine frequent itemsets and the negative border.
+    """The reference miner: Apriori by scans through a prefix tree.
 
     Args:
         transactions_factory: Zero-argument callable returning a fresh
@@ -80,46 +117,18 @@ def apriori(
             may live in a metered :class:`~repro.storage.BlockStore`).
         minsup: Minimum support threshold ``κ`` in ``(0, 1)``.
         max_size: Optional cap on itemset size (mainly for tests).
-
-    Returns:
-        A :class:`MiningResult` with ``L``, ``NB⁻``, and scan counts.
     """
-    item_counts, total = _scan_items(transactions_factory())
-    result = MiningResult(n_transactions=total, minsup=minsup, passes=1)
-    if total == 0:
-        return result
-    mincount = minimum_count(minsup, total)
-
-    current_level: dict[Itemset, int] = {}
-    for item, count in item_counts.items():
-        itemset: Itemset = (item,)
-        if count >= mincount:
-            current_level[itemset] = count
-            result.frequent[itemset] = count
-        else:
-            result.border[itemset] = count
-
-    size = 1
-    while current_level:
-        if max_size is not None and size >= max_size:
-            break
-        candidates = generate_candidates(current_level.keys())
-        if not candidates:
-            break
-        tree = PrefixTree(candidates)
-        tree.count_dataset(transactions_factory())
-        result.passes += 1
-        counted = tree.counts()
-        next_level: dict[Itemset, int] = {}
-        for candidate, count in counted.items():
-            if count >= mincount:
-                next_level[candidate] = count
-                result.frequent[candidate] = count
-            else:
-                result.border[candidate] = count
-        current_level = next_level
-        size += 1
-    return result
+    item_counts: Counter[int] = Counter()
+    total = 0
+    for total, transaction in enumerate(transactions_factory(), 1):
+        item_counts.update(transaction)
+    return apriori(
+        item_counts,
+        total,
+        minsup,
+        lambda candidates: count_supports(candidates, transactions_factory()),
+        max_size=max_size,
+    )
 
 
 def mine_blocks(blocks, minsup: float, max_size: int | None = None) -> MiningResult:
@@ -130,4 +139,4 @@ def mine_blocks(blocks, minsup: float, max_size: int | None = None) -> MiningRes
         for block in block_list:
             yield from block.iter_records()
 
-    return apriori(factory, minsup, max_size=max_size)
+    return mine_transactions(factory, minsup, max_size=max_size)

@@ -4,17 +4,20 @@ BORDERS (Feldman et al. 1997; Thomas et al. 1997) keeps the set of
 frequent itemsets ``L`` *and* the negative border ``NB⁻`` with exact
 counts.  When a block arrives it runs two phases:
 
-* **Detection** — scan just the new block once to update the counts of
-  every tracked itemset, then check which border itemsets crossed the
-  threshold (and which frequent itemsets fell below it).  If no border
-  itemset became frequent, the model is already correct.
+* **Detection** — count every tracked itemset over just the new block
+  on that block's item TID-lists, which its one scan at registration
+  built, then check which border itemsets crossed the threshold (and
+  which frequent itemsets fell below it).  If no border itemset became
+  frequent, the model is already correct.
 * **Update** — promote the newly frequent border itemsets into ``L``,
   generate fresh candidates by the prefix join, and count them over the
   *entire* selected history; iterate until no new itemset is frequent.
 
 The update phase's counting step is pluggable — PT-Scan (full scan, as
 in the original BORDERS), ECUT, or ECUT+ — which is precisely the
-comparison in the paper's Figures 2 and 4–7.
+comparison in the paper's Figures 2 and 4–7.  Detection and the Apriori
+levels of :meth:`BordersMaintainer.build` always count with ECUT's
+engine, as per-block supports are additive.
 
 The maintainer implements :class:`DeletableModelMaintainer`, so it both
 instantiates GEMM and supports the direct add+delete alternative
@@ -25,15 +28,16 @@ expansion for ``κ' < κ``).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Any
 
 from repro.contracts import maintainer_contract, pure_unless_cloned
 from repro.core.blocks import Block
 from repro.core.maintainer import DeletableModelMaintainer
 from repro.itemsets.apriori import apriori
-from repro.itemsets.border import is_on_border
 from repro.itemsets.counting import (
     ECUTCounter,
     ECUTPlusCounter,
@@ -44,11 +48,9 @@ from repro.itemsets.itemset import (
     Itemset,
     Transaction,
     generate_candidates,
-    proper_subsets,
 )
 from repro.itemsets.materialize import PairTidListStore
 from repro.itemsets.model import FrequentItemsetModel
-from repro.itemsets.prefix_tree import PrefixTree
 from repro.itemsets.tidlist import TidListStore
 from repro.storage.blockstore import BlockStore, transaction_nbytes
 from repro.storage.iostats import IOStatsRegistry
@@ -260,25 +262,24 @@ class BordersMaintainer(
         return FrequentItemsetModel(minsup=self.minsup)
 
     def build(self, blocks) -> FrequentItemsetModel:
-        """``A_M(D, φ)``: Apriori over the given blocks."""
+        """``A_M(D, φ)``: Apriori over the blocks' TID-list catalogs and lists."""
         block_list = list(blocks)
         if not block_list:
             return self.empty_model()
         for block in block_list:
             self.register_block(block)
         block_ids = [b.block_id for b in block_list]
-
-        def factory():
-            return self.context.block_store.scan_many(block_ids)
-
-        result = apriori(factory, self.minsup)
+        tidlists = self.context.tidlists
+        item_counts: Counter[int] = Counter()
+        for block_id in block_ids:
+            item_counts.update(tidlists.item_counts(block_id))
+        result = apriori(
+            item_counts,
+            sum(tidlists.block_size(b) for b in block_ids),
+            self.minsup,
+            lambda candidates: ECUTCounter(tidlists).count_batch(candidates, block_ids),
+        )
         model = FrequentItemsetModel.from_mining_result(result, block_ids)
-        # Item universe must cover every observed item, not just those
-        # with tracked singletons (apriori tracks all, so this is a
-        # belt-and-braces union).
-        for block in block_list:
-            for transaction in block.iter_records():
-                model.items.update(transaction)
         if isinstance(self.counter, ECUTPlusCounter):
             for block in block_list:
                 if not self.context.pairs.has_block(block.block_id):
@@ -293,23 +294,7 @@ class BordersMaintainer(
         self.register_block(block, model=model)
         stats = MaintenanceStats()
         span = self.telemetry.phase("borders.detection").start()
-
-        # --- Detection phase: one scan of the new block ----------------
-        tracked = model.tracked()
-        tree = PrefixTree(tracked.keys()) if tracked else None
-        new_item_counts: dict[int, int] = {}
-        for transaction in self.context.block_store.scan(block.block_id):
-            if tree is not None:
-                tree.count_transaction(transaction)
-            for item in transaction:
-                if item not in model.items:
-                    new_item_counts[item] = new_item_counts.get(item, 0) + 1
-        if tree is not None:
-            for itemset, delta in tree.counts().items():
-                if itemset in model.frequent:
-                    model.frequent[itemset] += delta
-                else:
-                    model.border[itemset] += delta
+        self._detect(model, block.block_id, 1)
         model.n_transactions += len(block)
         model.selected_block_ids.append(block.block_id)
         model.selected_block_ids.sort()
@@ -320,7 +305,9 @@ class BordersMaintainer(
         # candidate generation (they never sat in the border).
         threshold = model.min_count
         seeds: dict[Itemset, int] = {}
-        for item, count in new_item_counts.items():
+        for item, count in self.context.tidlists.item_counts(block.block_id).items():
+            if item in model.items:
+                continue
             model.items.add(item)
             singleton: Itemset = (item,)
             if count >= threshold:
@@ -340,7 +327,7 @@ class BordersMaintainer(
     ) -> FrequentItemsetModel:
         """Reverse a previously added block (§3.2.4).
 
-        The block is scanned once to decrement tracked counts; the same
+        The block's TID-lists decrement the tracked counts; the same
         detection/update machinery then restores the L/NB⁻ invariants
         (deletions can both demote and promote itemsets, because the
         denominator shrinks too).
@@ -351,15 +338,7 @@ class BordersMaintainer(
             )
         stats = MaintenanceStats()
         span = self.telemetry.phase("borders.detection").start()
-        tracked = model.tracked()
-        if tracked:
-            tree = PrefixTree(tracked.keys())
-            tree.count_dataset(self.context.block_store.scan(block.block_id))
-            for itemset, delta in tree.counts().items():
-                if itemset in model.frequent:
-                    model.frequent[itemset] -= delta
-                else:
-                    model.border[itemset] -= delta
+        self._detect(model, block.block_id, -1)
         model.n_transactions -= len(block)
         model.selected_block_ids.remove(block.block_id)
 
@@ -404,8 +383,17 @@ class BordersMaintainer(
         return model
 
     # ------------------------------------------------------------------
-    # Shared demote/promote/expand machinery
+    # Shared detect/demote/promote/expand machinery
     # ------------------------------------------------------------------
+
+    def _detect(self, model: FrequentItemsetModel, block_id: int, sign: int) -> None:
+        """Shift every tracked count by ``sign`` times its support in
+        one block."""
+        counts = ECUTCounter(self.context.tidlists).count_batch(
+            [*model.frequent, *model.border], [block_id]
+        )
+        for table in (model.frequent, model.border):
+            table.update({x: c + sign * counts[x] for x, c in table.items()})
 
     def _rebalance(
         self,
@@ -435,13 +423,19 @@ class BordersMaintainer(
             del model.frequent[itemset]
         stats.demotions += len(demoted)
         if demoted:
-            frequent_set = set(model.frequent)
-            for itemset, count in demoted.items():
-                if is_on_border(itemset, frequent_set):
-                    model.border[itemset] = count
-            for itemset in list(model.border):
-                if not is_on_border(itemset, frequent_set):
-                    del model.border[itemset]
+            # Every tracked itemset had its immediate subsets in L, and
+            # only demotion removes itemsets from L: one stays on the
+            # border iff none was demoted, so check those sharing an item.
+            demoted_items = {item for itemset in demoted for item in itemset}
+            lost = [
+                x
+                for x in (*model.border, *demoted)
+                if not demoted_items.isdisjoint(x)
+                and any(map(demoted.__contains__, combinations(x, len(x) - 1)))
+            ]
+            model.border.update(demoted)
+            for itemset in lost:
+                del model.border[itemset]
 
         # Promote border itemsets that crossed the threshold, then
         # expand: generate fresh candidates around everything that newly
@@ -516,6 +510,7 @@ class BordersMaintainer(
                 candidate = tuple(sorted(base + (item,)))
                 if candidate in tracked or candidate in result:
                     continue
-                if all(s in frequent_set for s in proper_subsets(candidate)):
+                subsets = combinations(candidate, len(candidate) - 1)
+                if all(map(frequent_set.__contains__, subsets)):
                     result.add(candidate)
         return result

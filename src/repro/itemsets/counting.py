@@ -38,7 +38,8 @@ meter sees what a buffer pool would serve from disk.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Collection, Sequence, Sized
+from itertools import chain
 from typing import Any, Union
 
 import numpy as np
@@ -192,14 +193,12 @@ else:  # pragma: no cover - exercised only on numpy < 2.0
         return _POP8[rows.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 
-def _padded_rows(lengths: list[int], values: Iterable[int]) -> np.ndarray:
+def _padded_rows(sequences: Sequence[Sized], values: np.ndarray) -> np.ndarray:
     """A ``-1``-padded matrix whose row ``r`` holds the next
-    ``lengths[r]`` of ``values``."""
-    counts = np.asarray(lengths, dtype=np.int64)
-    rows = np.full((len(counts), max(1, int(counts.max()))), -1, dtype=np.int64)
-    rows[np.arange(rows.shape[1]) < counts[:, None]] = np.fromiter(
-        values, dtype=np.int64, count=int(counts.sum())
-    )
+    ``len(sequences[r])`` of ``values``."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    rows = np.full((len(lengths), max(1, int(lengths.max()))), -1, dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = values
     return rows
 
 
@@ -294,34 +293,30 @@ class ECUTCounter(SupportCounter):
         Orders every itemset's items rarest-first, so itemsets sharing
         rare items share the fetches of their lists.
         """
-        counts = {itemset: 0 for itemset in itemsets}
-        if not counts:
+        targets = list(dict.fromkeys(itemsets))
+        if not targets:
             return {}
-        targets = list(counts)
-        items = sorted({item for itemset in targets for item in itemset})
-        if not items:
+        flat = np.fromiter(chain.from_iterable(targets), dtype=np.int64)
+        if not flat.size:
             # Only empty itemsets: each counts every block in full.
             total = sum(self._tidlists.block_size(b) for b in block_ids)
-            return {itemset: total for itemset in counts}
-        item_index = {item: k for k, item in enumerate(items)}
-        n = len(targets)
-        T = _padded_rows(
-            [len(itemset) for itemset in targets],
-            (item_index[item] for itemset in targets for item in itemset),
-        )
-        supports = np.zeros(n, dtype=np.int64)
+            return dict.fromkeys(targets, total)
+        # The batch's distinct items, ascending, and each position's index.
+        items_array, positions = np.unique(flat, return_inverse=True)
+        n_items = len(items_array)
+        T = _padded_rows(targets, positions.reshape(-1))
+        supports = np.zeros(len(targets), dtype=np.int64)
         # One rank slot past the items: the -1 padding indexes it.
-        rank = np.full(len(items) + 1, _PAD, dtype=np.int64)
-        item_arange = np.arange(len(items), dtype=np.int64)
-        items_array = np.asarray(items, dtype=np.int64)
+        rank = np.full(n_items + 1, _PAD, dtype=np.int64)
+        item_arange = np.arange(n_items, dtype=np.int64)
         for block_id in block_ids:
-            # Rank items by (per-block count, item): `items` is sorted,
+            # Rank items by (per-block count, item): `items_array` is sorted,
             # so the index is the tie-break — a stable count-sort of
             # each itemset's items.
             keys_matrix, block_counts, key_nbytes = self._tidlists.packed_rows(
                 block_id, items_array
             )
-            rank[:-1] = block_counts * len(items) + item_arange
+            rank[:-1] = block_counts * n_items + item_arange
             order = np.argsort(rank[T], axis=1, kind="stable")
             S = np.take_along_axis(T, order, axis=1)
             _dense_count_block(
@@ -382,12 +377,10 @@ class ECUTPlusCounter(SupportCounter):
         shortest-list-first; itemsets whose covers share pairs or rare
         singles share their fetches.
         """
-        counts = {itemset: 0 for itemset in itemsets}
-        if not counts:
+        targets = list(dict.fromkeys(itemsets))
+        if not targets:
             return {}
-        targets = list(counts)
-        n = len(targets)
-        supports = np.zeros(n, dtype=np.int64)
+        supports = np.zeros(len(targets), dtype=np.int64)
         for block_id in block_ids:
             available = (
                 self._pairs.available(block_id)
@@ -402,14 +395,12 @@ class ECUTPlusCounter(SupportCounter):
             ]
             block_size = self._tidlists.block_size(block_id)
             key_index: dict[_FetchKey, int] = {}
-            S = _padded_rows(
-                [len(keys) for keys in sequences],
-                (
-                    key_index.setdefault(key, len(key_index))
-                    for keys in sequences
-                    for key in keys
-                ),
-            )
+            flat = [
+                key_index.setdefault(key, len(key_index))
+                for keys in sequences
+                for key in keys
+            ]
+            S = _padded_rows(sequences, np.array(flat, dtype=np.int64))
             keys = list(key_index)
             n_keys = len(keys)
             n_words = (block_size + 63) >> 6
@@ -453,9 +444,7 @@ class ECUTPlusCounter(SupportCounter):
                 block_size,
                 supports,
             )
-        for r, itemset in enumerate(targets):
-            counts[itemset] = int(supports[r])
-        return counts
+        return dict(zip(targets, supports.tolist()))
 
     def _cover_keys(
         self, itemset: Itemset, block_id: int, available: set[Pair]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.contracts import maintainer_contract, pure_unless_cloned
 from repro.core.blocks import Block
 from repro.core.maintainer import IncrementalModelMaintainer
-from repro.itemsets.apriori import apriori
+from repro.itemsets.apriori import mine_transactions
 from repro.itemsets.itemset import (
     Itemset,
     Transaction,
@@ -97,7 +97,7 @@ class FUPMaintainer(IncrementalModelMaintainer[FrequentItemsetModel, Transaction
         def factory():
             return self.context.block_store.scan_many(block_ids)
 
-        result = apriori(factory, self.minsup)
+        result = mine_transactions(factory, self.minsup)
         model = FrequentItemsetModel(
             minsup=self.minsup,
             n_transactions=result.n_transactions,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Collection, Iterable, Iterator, Sequence
-from itertools import combinations
+from itertools import combinations, islice
 
 #: Canonical itemset type: strictly increasing tuple of item ids.
 Itemset = tuple[int, ...]
@@ -87,23 +87,24 @@ def generate_candidates(frequent: Collection[Itemset]) -> set[Itemset]:
     """Apriori candidate generation: prefix join + subset prune.
 
     Given the frequent k-itemsets, produce the (k+1)-candidates whose
-    every k-subset is frequent.
+    every k-subset is frequent.  A join's two parents are its first two
+    k-subsets, so only the other ``k - 1`` are checked.
     """
     frequent_set = set(frequent)
-    ordered = sorted(frequent_set)
+
+    def others_frequent(joined: Itemset) -> bool:
+        others = islice(combinations(joined, len(joined) - 1), 2, None)
+        return all(map(frequent_set.__contains__, others))
+
+    # Group the last items by shared (k-1)-prefix so the join is
+    # near-linear; sorting keeps each group's last items ascending.
+    by_prefix: dict[Itemset, list[int]] = {}
+    for itemset in sorted(frequent_set):
+        by_prefix.setdefault(itemset[:-1], []).append(itemset[-1])
     candidates: set[Itemset] = set()
-    # Group by shared (k-1)-prefix so the join is near-linear.
-    by_prefix: dict[Itemset, list[Itemset]] = {}
-    for itemset in ordered:
-        by_prefix.setdefault(itemset[:-1], []).append(itemset)
-    for group in by_prefix.values():
-        for i, a in enumerate(group):
-            for b in group[i + 1 :]:
-                joined = prefix_join(a, b)
-                if joined is None:
-                    continue
-                if all(s in frequent_set for s in proper_subsets(joined)):
-                    candidates.add(joined)
+    for prefix, lasts in by_prefix.items():
+        joins = map(prefix.__add__, combinations(lasts, 2))
+        candidates.update(filter(others_frequent, joins) if prefix else joins)
     return candidates
 
 

@@ -211,6 +211,10 @@ class TidListStore:
         tids = self._block_lists(block_id).get(item)
         return 0 if tids is None else len(tids)
 
+    def item_counts(self, block_id: int) -> dict[int, int]:
+        """Every item of a block with its uncharged :meth:`item_count`."""
+        return {item: len(tids) for item, tids in self._block_lists(block_id).items()}
+
     def packed_rows(
         self, block_id: int, items: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

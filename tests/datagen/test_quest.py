@@ -71,11 +71,11 @@ class TestGeneration:
     def test_patterns_create_correlation(self):
         """Generated data must contain frequent multi-item patterns —
         unlike independent-item noise."""
-        from repro.itemsets.apriori import apriori
+        from repro.itemsets.apriori import mine_transactions
 
         params = small_params(n_transactions=1500, n_patterns=10)
         transactions = QuestGenerator(params, seed=0).transactions(1500)
-        result = apriori(lambda: transactions, minsup=0.02)
+        result = mine_transactions(lambda: transactions, minsup=0.02)
         assert any(len(itemset) >= 2 for itemset in result.frequent)
 
     def test_block_helper(self):

@@ -5,7 +5,7 @@ from itertools import chain, combinations
 import pytest
 
 from repro.core.blocks import make_block
-from repro.itemsets.apriori import apriori, mine_blocks
+from repro.itemsets.apriori import mine_blocks, mine_transactions
 from repro.itemsets.border import check_border_invariant
 from repro.itemsets.itemset import contains, minimum_count
 from tests.conftest import random_transactions
@@ -34,50 +34,50 @@ SMALL = [
 
 class TestApriori:
     def test_matches_brute_force_small(self):
-        result = apriori(lambda: SMALL, minsup=0.3)
+        result = mine_transactions(lambda: SMALL, minsup=0.3)
         assert result.frequent == brute_force_frequent(SMALL, 0.3)
 
     def test_matches_brute_force_random(self):
         transactions = random_transactions(150, n_items=12, seed=3)
         for minsup in (0.1, 0.25, 0.5):
-            result = apriori(lambda: transactions, minsup=minsup)
+            result = mine_transactions(lambda: transactions, minsup=minsup)
             assert result.frequent == brute_force_frequent(transactions, minsup)
 
     def test_border_invariants(self):
         transactions = random_transactions(200, n_items=15, seed=5)
-        result = apriori(lambda: transactions, minsup=0.1)
+        result = mine_transactions(lambda: transactions, minsup=0.1)
         problems = check_border_invariant(
             set(result.frequent), set(result.border)
         )
         assert problems == []
 
     def test_border_counts_are_exact(self):
-        result = apriori(lambda: SMALL, minsup=0.3)
+        result = mine_transactions(lambda: SMALL, minsup=0.3)
         for itemset, count in result.border.items():
             expected = sum(1 for t in SMALL if contains(t, itemset))
             assert count == expected
 
     def test_empty_dataset(self):
-        result = apriori(lambda: [], minsup=0.5)
+        result = mine_transactions(lambda: [], minsup=0.5)
         assert result.frequent == {}
         assert result.border == {}
         assert result.n_transactions == 0
 
     def test_max_size_cap(self):
-        result = apriori(lambda: SMALL, minsup=0.3, max_size=1)
+        result = mine_transactions(lambda: SMALL, minsup=0.3, max_size=1)
         assert all(len(x) == 1 for x in result.frequent)
 
     def test_passes_counted(self):
-        result = apriori(lambda: SMALL, minsup=0.3)
+        result = mine_transactions(lambda: SMALL, minsup=0.3)
         assert result.passes >= 2
 
     def test_support_accessor(self):
-        result = apriori(lambda: SMALL, minsup=0.3)
+        result = mine_transactions(lambda: SMALL, minsup=0.3)
         assert result.support((1, 2)) == pytest.approx(3 / 6)
         assert result.support((99,)) == 0.0
 
     def test_frequent_of_size(self):
-        result = apriori(lambda: SMALL, minsup=0.3)
+        result = mine_transactions(lambda: SMALL, minsup=0.3)
         assert all(len(x) == 2 for x in result.frequent_of_size(2))
 
     def test_factory_called_per_pass(self):
@@ -87,7 +87,7 @@ class TestApriori:
             calls.append(1)
             return iter(SMALL)
 
-        result = apriori(factory, minsup=0.3)
+        result = mine_transactions(factory, minsup=0.3)
         assert len(calls) == result.passes
 
 

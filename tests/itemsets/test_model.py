@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.itemsets.apriori import apriori
+from repro.itemsets.apriori import mine_transactions
 from repro.itemsets.model import FrequentItemsetModel
 
 
@@ -17,7 +17,7 @@ TRANSACTIONS = [
 
 
 def make_model(minsup=0.3):
-    result = apriori(lambda: TRANSACTIONS, minsup=minsup)
+    result = mine_transactions(lambda: TRANSACTIONS, minsup=minsup)
     return FrequentItemsetModel.from_mining_result(result, [1])
 
 
@@ -73,7 +73,7 @@ class TestRaiseThreshold:
     def test_filters_frequent_set(self):
         model = make_model(0.3)
         raised = model.raise_threshold(0.5)
-        truth = apriori(lambda: TRANSACTIONS, minsup=0.5)
+        truth = mine_transactions(lambda: TRANSACTIONS, minsup=0.5)
         assert raised.frequent == truth.frequent
         assert set(raised.border) == set(truth.border)
 

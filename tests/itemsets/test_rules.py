@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.itemsets.apriori import apriori
+from repro.itemsets.apriori import mine_transactions
 from repro.itemsets.model import FrequentItemsetModel
 from repro.itemsets.rules import AssociationRule, diff_rules, generate_rules
 
@@ -20,7 +20,7 @@ TRANSACTIONS = [
 
 
 def model(minsup=0.2):
-    result = apriori(lambda: TRANSACTIONS, minsup=minsup)
+    result = mine_transactions(lambda: TRANSACTIONS, minsup=minsup)
     return FrequentItemsetModel.from_mining_result(result, [1])
 
 

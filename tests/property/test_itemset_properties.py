@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for itemset primitives."""
 
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +89,30 @@ class TestGenerateCandidates:
         candidates = generate_candidates(frequent)
         n = len(frequent_items)
         assert len(candidates) == n * (n - 1) // 2
+
+
+@st.composite
+def uniform_level(draw):
+    """``(k, F)``: a random set ``F`` of k-itemsets over a small universe,
+    dense enough that many joins survive the prune."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    level = st.sets(st.integers(min_value=0, max_value=7), min_size=k, max_size=k)
+    return k, draw(st.sets(level.map(lambda s: tuple(sorted(s))), max_size=40))
+
+
+class TestGenerateCandidatesDefinition:
+    @settings(max_examples=200)
+    @given(uniform_level())
+    def test_equals_brute_force_definition(self, level):
+        """Every (k+1)-itemset whose k-subsets are all in F, and no other."""
+        k, frequent = level
+        universe = sorted({item for itemset in frequent for item in itemset})
+        expected = {
+            candidate
+            for candidate in combinations(universe, k + 1)
+            if all(subset in frequent for subset in combinations(candidate, k))
+        }
+        assert generate_candidates(frequent) == expected
 
 
 class TestMinimumCount:
