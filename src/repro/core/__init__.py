@@ -8,7 +8,6 @@ from repro.core.bss import (
     weekday_bss,
 )
 from repro.core.gemm import GEMM, GEMMUpdateReport
-from repro.core.hierarchy import HierarchicalStream, TimeHierarchy
 from repro.core.maintainer import (
     DeletableModelMaintainer,
     IncrementalModelMaintainer,
@@ -41,8 +40,6 @@ __all__ = [
     "UnrestrictedWindowMaintainer",
     "GEMM",
     "GEMMUpdateReport",
-    "TimeHierarchy",
-    "HierarchicalStream",
     "DemonMonitor",
     "MonitorReport",
     "MiningSession",

@@ -31,8 +31,7 @@ def _validate_bits(bits: Iterable[int]) -> tuple[int, ...]:
 
     Bits must be plain integers: bools and floats are rejected rather
     than coerced, because ``int(0.9) == 0`` and ``int(True) == 1``
-    silently change which blocks a model is extracted from.  The same
-    invariant is enforced statically by demonlint rule DML003.
+    silently change which blocks a model is extracted from.
     """
     validated: list[int] = []
     for b in bits:
@@ -71,9 +70,7 @@ class WindowIndependentBSS:
         predicate: Callable[[int], bool] | None = None,
     ) -> None:
         self._bits = _validate_bits(bits)
-        if isinstance(default, bool) or default not in (0, 1):
-            raise ValueError(f"default bit must be the int 0 or 1, got {default!r}")
-        self._default = default
+        self._default = _validate_bits([default])[0]
         self._predicate = predicate
 
     @classmethod

@@ -18,13 +18,6 @@ from repro.itemsets.borders import (
     MaintenanceStats,
     make_counter,
 )
-from repro.itemsets.calendric import (
-    Calendar,
-    CalendricRule,
-    SegmentModelCache,
-    belongs_to_calendar,
-    calendric_rules,
-)
 from repro.itemsets.counting import (
     ECUTCounter,
     ECUTPlusCounter,
@@ -32,7 +25,6 @@ from repro.itemsets.counting import (
     SupportCounter,
 )
 from repro.itemsets.fup import FUPMaintainer, FUPStats
-from repro.itemsets.hash_tree import HashTree, count_supports_hash
 from repro.itemsets.kernels import BitmapTidList
 from repro.itemsets.itemset import (
     Itemset,
@@ -70,8 +62,6 @@ __all__ = [
     "minimum_count",
     "PrefixTree",
     "count_supports",
-    "HashTree",
-    "count_supports_hash",
     "MiningResult",
     "apriori",
     "mine_blocks",
@@ -97,9 +87,4 @@ __all__ = [
     "RuleDiff",
     "generate_rules",
     "diff_rules",
-    "Calendar",
-    "CalendricRule",
-    "SegmentModelCache",
-    "calendric_rules",
-    "belongs_to_calendar",
 ]

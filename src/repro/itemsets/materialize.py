@@ -133,10 +133,6 @@ class PairTidListStore:
         """The pairs materialized for one block."""
         return set(self._lists.get(block_id, ()))
 
-    def has_pair(self, block_id: int, pair: Pair) -> bool:
-        """Whether one pair's list exists for one block."""
-        return pair in self._lists.get(block_id, ())
-
     def pair_count(self, block_id: int, pair: Pair) -> int:
         """Length of one pair list (catalog metadata, not charged)."""
         return len(self._lists[block_id][pair])

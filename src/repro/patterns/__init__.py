@@ -5,20 +5,8 @@ from repro.patterns.compact import (
     CompactSequenceMiner,
     PatternUpdateReport,
 )
-from repro.patterns.calendar import (
-    CalendarRule,
-    RuleFit,
-    infer_calendar_rule,
-    report_patterns,
-)
-from repro.patterns.granularity import (
-    GranularityScore,
-    evaluate_granularity,
-    select_granularity,
-)
 from repro.patterns.cyclic import (
     extract_cyclic,
-    filter_by_calendar,
     longest_cyclic_subsequence,
     period_of,
 )
@@ -27,15 +15,7 @@ __all__ = [
     "CompactSequence",
     "CompactSequenceMiner",
     "PatternUpdateReport",
-    "CalendarRule",
-    "RuleFit",
-    "infer_calendar_rule",
-    "report_patterns",
-    "GranularityScore",
-    "evaluate_granularity",
-    "select_granularity",
     "extract_cyclic",
-    "filter_by_calendar",
     "longest_cyclic_subsequence",
     "period_of",
 ]

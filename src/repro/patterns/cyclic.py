@@ -1,16 +1,16 @@
 """Post-processing compact sequences into specialized pattern types (§4).
 
-The set of compact sequences is a substrate: further constraints —
-cyclicity, calendar alignment — are imposed by post-processing.  The
-paper's example: from the compact sequence ``⟨D1, D3, D4, D5, D7⟩`` one
-derives the cyclic sequence ``⟨D1, D3, D5, D7⟩``.  A *cyclic* sequence
+The set of compact sequences is a substrate: further constraints such as
+cyclicity are imposed by post-processing.  The paper's example: from the
+compact sequence ``⟨D1, D3, D4, D5, D7⟩`` one derives the cyclic
+sequence ``⟨D1, D3, D5, D7⟩``.  A *cyclic* sequence
 is one whose block identifiers form an arithmetic progression (a fixed
 period), which is what "every Monday" or "every 7th block" look like.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.patterns.compact import CompactSequence
 
@@ -93,16 +93,3 @@ def period_of(block_ids: Sequence[int]) -> int | None:
     if len(diffs) != 1:
         return None
     return diffs.pop()
-
-
-def filter_by_calendar(
-    sequence: CompactSequence,
-    predicate: Callable[[int], bool],
-) -> CompactSequence:
-    """Keep only the blocks matching a calendar predicate.
-
-    Used to turn a discovered compact sequence into a calendar-aligned
-    pattern ("working days only"), given a predicate on block ids.
-    """
-    kept = [block_id for block_id in sequence.block_ids if predicate(block_id)]
-    return CompactSequence(block_ids=kept)

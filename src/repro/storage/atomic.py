@@ -78,9 +78,3 @@ def atomic_json(path: str, obj: Any) -> None:
     """Publish one JSON document at ``path`` atomically."""
     with atomic_writer(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)
-
-
-def atomic_bytes(path: str, payload: bytes) -> None:
-    """Publish one opaque byte payload at ``path`` atomically."""
-    with atomic_writer(path) as fh:
-        fh.write(payload)

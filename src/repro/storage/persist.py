@@ -75,11 +75,6 @@ def register_vault_namespace(namespace: str) -> str:
     return namespace
 
 
-def registered_vault_namespaces() -> dict[str, str]:
-    """Snapshot of claimed namespaces mapped to their owning module."""
-    return dict(_VAULT_NAMESPACES)
-
-
 class ModelVault:
     """A byte-accounted store of serialized models.
 

@@ -1,12 +1,11 @@
-"""Decision-tree model class: classifier, maintainers, FOCUS instantiation.
+"""Decision-tree model class: classifier and maintainers.
 
 The paper's third model class.  DEMON itself defers incremental tree
 construction to BOAT; here a from-scratch Gini tree plus two ``A_M``
 implementations (leaf-refinement and naive rebuild) make the class
-available to GEMM and the deviation framework.
+available to GEMM.
 """
 
-from repro.trees.deviation import TreeDeviation
 from repro.trees.dtree import (
     DecisionTree,
     LabelledPoint,
@@ -29,5 +28,4 @@ __all__ = [
     "TreeModel",
     "LeafRefinementTreeMaintainer",
     "RebuildingTreeMaintainer",
-    "TreeDeviation",
 ]

@@ -36,10 +36,18 @@ class TestWindowIndependentBSS:
         assert bss.selects(2)
 
     def test_invalid_bits_rejected(self):
-        with pytest.raises(ValueError):
-            WindowIndependentBSS([1, 2])  # demonlint: disable=DML003 (asserts rejection)
-        with pytest.raises(ValueError):
-            WindowIndependentBSS(default=3)  # demonlint: disable=DML003 (asserts rejection)
+        for kwargs, error in [
+            ({"bits": [1, 2]}, ValueError),
+            ({"default": 3}, ValueError),
+            # bools, floats and strings are rejected, not coerced
+            ({"bits": [True]}, TypeError),
+            ({"bits": [0.5]}, TypeError),
+            ({"bits": "0101"}, TypeError),
+            ({"default": True}, TypeError),
+            ({"default": 1.0}, TypeError),
+        ]:
+            with pytest.raises(error):
+                WindowIndependentBSS(**kwargs)
 
     def test_bit_position_validation(self):
         with pytest.raises(IndexError):

@@ -19,10 +19,10 @@ from tools.demonlint.reporter import render_json, render_text  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ALL_RULES = (
-    "DML001", "DML002", "DML003", "DML004", "DML005", "DML007",
-    "DML008", "DML009", "DML010", "DML011", "DML012", "DML013",
-    "DML014", "DML015", "DML016", "DML017", "DML018", "DML019",
-    "DML020", "DML021", "DML022", "DML023", "DML024",
+    "DML001", "DML002", "DML004", "DML005", "DML007", "DML008",
+    "DML009", "DML010", "DML011", "DML012", "DML013", "DML014",
+    "DML015", "DML016", "DML017", "DML018", "DML019", "DML020",
+    "DML021", "DML022", "DML023", "DML024",
 )
 
 
@@ -82,16 +82,6 @@ def test_dml002_flags_both_straight_line_and_loop_reuse():
     flagged = {source[line - 1].strip() for line in lines}
     assert any("b2" in text for text in flagged)  # straight-line reuse
     assert any("for" in text or "block" in text for text in flagged)
-
-
-def test_dml003_catches_every_bad_literal_kind():
-    result = lint_bad(FIXTURES / "dml003_bad.py", select=["DML003"])
-    messages = " ".join(v.message for v in result.violations)
-    assert "got 2" in messages  # out-of-range int
-    assert "got True" in messages  # bool
-    assert "got 0.0" in messages  # float
-    assert "string literal" in messages
-    assert "default bit" in messages
 
 
 def test_dml004_resolves_import_aliases():
@@ -160,6 +150,12 @@ def test_syntax_error_becomes_dml000(tmp_path):
     bad.write_text("def f(:\n")
     result = run([bad])
     assert [v.rule_id for v in result.violations] == [PARSE_ERROR]
+
+
+def test_run_orders_findings_by_path_line_rule():
+    result = run([FIXTURES], root=ROOT, respect_suppressions=False)
+    keys = [(v.path, v.line, v.rule_id) for v in result.violations]
+    assert keys == sorted(keys)
 
 
 def test_ignore_filters_rules():
@@ -241,12 +237,12 @@ def test_cli_rejects_unknown_rule_ids():
 def test_cli_json_output(capsys):
     code = main(
         ["--no-cache", "--no-suppress", "--format", "json",
-         str(FIXTURES / "dml003_bad.py")]
+         str(FIXTURES / "dml005_bad.py")]
     )
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["files_checked"] == 1
-    assert {v["rule"] for v in payload["violations"]} == {"DML003"}
+    assert {v["rule"] for v in payload["violations"]} == {"DML005"}
 
 
 def test_cli_lints_the_tree_like_ci_does():

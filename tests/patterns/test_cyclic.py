@@ -3,7 +3,6 @@
 from repro.patterns.compact import CompactSequence
 from repro.patterns.cyclic import (
     extract_cyclic,
-    filter_by_calendar,
     longest_cyclic_subsequence,
     period_of,
 )
@@ -61,10 +60,3 @@ class TestPeriodOf:
 
     def test_too_short(self):
         assert period_of([5]) is None
-
-
-class TestFilterByCalendar:
-    def test_keeps_matching_blocks(self):
-        sequence = CompactSequence([1, 2, 3, 4, 5, 6, 7, 8])
-        mondays = filter_by_calendar(sequence, lambda i: (i - 1) % 7 == 0)
-        assert mondays.block_ids == [1, 8]

@@ -8,7 +8,6 @@ Static rules (see ``docs/STATIC_ANALYSIS.md`` for the paper mapping):
 * **DML002** — clone-before-mutate: a model reference passed to
   ``add_block`` is not read again unless a re-binding (or fresh
   ``clone``) dominates the read (§3.2's divergent model copies).
-* **DML003** — BSS constructors receive strict 0/1 bit literals (§2.3).
 * **DML004** — no wall-clock reads outside ``storage/iostats.py`` and
   ``benchmarks/``; timing flows through ``Stopwatch`` so the
   critical-path/off-line split of Algorithm 3.1 stays measurable.

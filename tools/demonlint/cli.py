@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m tools.demonlint src/repro``.
 
-Exit status: 0 when the tree is clean (after baseline subtraction),
-1 when violations were found, 2 on usage errors.
+Exit status: 0 when the tree is clean, 1 when violations were found,
+2 on usage errors.
 
 Rule filtering
     ``--select DML008 --select DML009`` runs only the named rules;
@@ -12,31 +12,17 @@ Incremental runs
     Results are cached by content hash under ``.demonlint_cache`` (see
     ``tools/demonlint/cache.py``): an unchanged tree skips the whole
     analysis, a single edited file re-parses only itself.  Disable
-    with ``--no-cache`` or relocate with ``--cache-dir``.  ``--jobs N``
-    parses cache misses with N worker processes.
-
-Baselines
-    ``--update-baseline`` records the current findings into the
-    baseline file (``--baseline PATH``, default
-    ``.demonlint_baseline.json``); later runs with ``--baseline``
-    report only findings NOT in it, so CI can gate on "no new
-    violations" during a cleanup.
-
-SARIF
-    ``--sarif PATH`` writes a SARIF 2.1.0 report alongside the normal
-    output (``--format sarif`` prints it to stdout instead), for
-    code-scanning upload from CI.
+    with ``--no-cache`` or relocate with ``--cache-dir``.
 """
 
 from __future__ import annotations
 
 import argparse
-from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
 
 from tools.demonlint.core import registered_rules, run
-from tools.demonlint.reporter import render_json, render_sarif, render_text
+from tools.demonlint.reporter import render_json, render_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,8 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="demonlint",
         description=(
             "Whole-program AST linter for the DEMON reproduction: "
-            "maintainer contracts, BSS bit-hygiene, clone-before-mutate "
-            "discipline, timing hygiene (DML001-DML007), plus "
+            "maintainer contracts, clone-before-mutate discipline, "
+            "timing hygiene (DML001-DML007), plus "
             "flow-sensitive checkpoint/span/taint/vault/purity analyses "
             "(DML008-DML012), typestate/escape lifecycle, streaming, "
             "worker-safety, and exception-atomicity rules (DML014-DML018), "
@@ -63,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format on stdout (default: text)",
     )
@@ -85,13 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report findings even when a disable comment covers them",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse files with N worker processes (default: 1)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the content-hash analysis cache",
@@ -101,35 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="cache location (default: .demonlint_cache)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help=(
-            "subtract findings recorded in this baseline file "
-            "(default with --update-baseline: .demonlint_baseline.json)"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--sarif",
-        metavar="PATH",
-        default=None,
-        help="also write a SARIF 2.1.0 report to PATH",
-    )
-    parser.add_argument(
-        "--telemetry-json",
-        metavar="PATH",
-        default=None,
-        help=(
-            "emit per-rule hit counters and run timing through the "
-            "repro telemetry spine as a schema-1 JSON document"
-        ),
     )
     parser.add_argument(
         "--verbose",
@@ -142,53 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the registered rules and exit",
     )
     return parser
-
-
-def _load_telemetry_spine():
-    """A fresh repro :class:`Telemetry` spine, found from this checkout.
-
-    demonlint is stdlib-only by design; ``--telemetry-json`` is its one
-    integration point with the reproduction's observability layer, so
-    the import is guarded and falls back to putting ``<repo>/src`` on
-    ``sys.path`` (the layout this tool ships in).
-    """
-    try:
-        from repro.storage.telemetry import Telemetry
-    except ImportError:
-        import sys
-
-        src = Path(__file__).resolve().parents[2] / "src"
-        if str(src) not in sys.path:
-            sys.path.insert(0, str(src))
-        from repro.storage.telemetry import Telemetry
-    return Telemetry()
-
-
-def _write_telemetry_json(path: str, telemetry, result) -> None:
-    """Emit one schema-1 row of rule-hit counters and run timing.
-
-    The document matches the benchmark emitters in
-    ``benchmarks/common.py`` (see docs/OBSERVABILITY.md): a ``bench``
-    key naming the producer plus flat counter fields, so CI dashboards
-    ingest lint telemetry through the same pipeline as perf rows.
-    """
-    import json
-
-    telemetry.increment("demonlint.files", result.files_checked)
-    telemetry.increment("demonlint.violations", len(result.violations))
-    telemetry.increment("demonlint.suppressed", len(result.suppressed))
-    for violation in result.violations:
-        telemetry.increment(f"demonlint.rule.{violation.rule_id}")
-    snapshot = telemetry.snapshot()
-    row: dict = {
-        "bench": "demonlint",
-        "seconds": round(snapshot.phase_seconds("demonlint.run"), 6),
-    }
-    row.update(sorted(telemetry.counters.items()))
-    document = {"schema": 1, "rows": [row]}
-    Path(path).write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -211,8 +114,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"unknown rule id(s): {', '.join(sorted(unknown))} "
             f"(see --list-rules)"
         )
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
 
     cache = None
     if not args.no_cache:
@@ -222,90 +123,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             Path(args.cache_dir) if args.cache_dir else DEFAULT_CACHE_DIR
         )
 
-    telemetry = None
-    if args.telemetry_json is not None:
-        telemetry = _load_telemetry_spine()
-
     try:
-        if telemetry is not None:
-            with telemetry.phase("demonlint.run"):
-                result = run(
-                    args.paths,
-                    select=args.select,
-                    ignore=args.ignore,
-                    respect_suppressions=not args.no_suppress,
-                    jobs=args.jobs,
-                    cache=cache,
-                )
-        else:
-            result = run(
-                args.paths,
-                select=args.select,
-                ignore=args.ignore,
-                respect_suppressions=not args.no_suppress,
-                jobs=args.jobs,
-                cache=cache,
-            )
+        result = run(
+            args.paths,
+            select=args.select,
+            ignore=args.ignore,
+            respect_suppressions=not args.no_suppress,
+            cache=cache,
+        )
     except FileNotFoundError as exc:
         parser.error(str(exc))  # exits with status 2
 
-    if telemetry is not None:
-        _write_telemetry_json(args.telemetry_json, telemetry, result)
-
-    baseline_path = args.baseline or (
-        ".demonlint_baseline.json" if args.update_baseline else None
-    )
-    if args.update_baseline:
-        from tools.demonlint.baseline import load_baseline, write_baseline
-
-        preserved = None
-        if (args.select or args.ignore) and Path(baseline_path).exists():
-            # A narrowed run saw no findings for the deselected rules;
-            # carry their accepted entries over instead of dropping them.
-            active = (
-                {rule.upper() for rule in args.select}
-                if args.select
-                else set(known)
-            )
-            active -= {rule.upper() for rule in (args.ignore or [])}
-            preserved = Counter(
-                {
-                    key: count
-                    for key, count in load_baseline(baseline_path).items()
-                    if key[1] not in active
-                }
-            )
-        count = write_baseline(baseline_path, result.violations, preserved)
-        print(
-            f"demonlint: baseline {baseline_path} updated "
-            f"({count} finding(s) recorded)"
-        )
-        return 0
-    baselined_count = 0
-    if baseline_path is not None:
-        from tools.demonlint.baseline import apply_baseline, load_baseline
-
-        try:
-            baseline = load_baseline(baseline_path)
-        except FileNotFoundError:
-            parser.error(f"baseline file not found: {baseline_path}")
-        except ValueError as exc:
-            parser.error(str(exc))
-        new, known_violations = apply_baseline(result.violations, baseline)
-        baselined_count = len(known_violations)
-        result.violations = new
-
-    if args.sarif is not None:
-        Path(args.sarif).write_text(render_sarif(result) + "\n", encoding="utf-8")
-
     if args.format == "json":
         print(render_json(result))
-    elif args.format == "sarif":
-        print(render_sarif(result))
     else:
         print(render_text(result, verbose=args.verbose))
-        if baselined_count:
-            print(f"({baselined_count} pre-existing finding(s) baselined)")
     return 0 if result.ok else 1
 
 

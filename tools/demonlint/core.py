@@ -304,20 +304,13 @@ class LintResult:
         return not self.violations
 
 
-def _parse_one(path: Path, root: Path | None) -> ModuleInfo | Violation:
-    """Worker-friendly wrapper for parallel parsing (module-level so it
-    pickles into a :class:`~concurrent.futures.ProcessPoolExecutor`)."""
-    return parse_module(path, root=root)
-
-
 def _parse_all(
     files: list[Path],
     root: Path | None,
-    jobs: int,
     cache: "object | None",
     sources: dict[Path, bytes],
 ) -> list[ModuleInfo | Violation]:
-    """Parse every file, using the per-file cache and ``jobs`` workers."""
+    """Parse every file, loading unchanged ones from the per-file cache."""
     def _rel(path: Path) -> str:
         if root is None:
             return str(path)
@@ -326,37 +319,20 @@ def _parse_all(
         except ValueError:
             return str(path)
 
-    parsed: dict[Path, ModuleInfo | Violation] = {}
-    misses: list[Path] = []
+    parsed: list[ModuleInfo | Violation] = []
     for path in files:
-        cached = None
+        key = None
         if cache is not None:
-            cached = cache.load_module(
-                cache.module_key(sources[path], _rel(path))
-            )
-        if cached is not None:
-            parsed[path] = cached
-        else:
-            misses.append(path)
-
-    if jobs > 1 and len(misses) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for path, result in zip(
-                misses, pool.map(_parse_one, misses, [root] * len(misses))
-            ):
-                parsed[path] = result
-    else:
-        for path in misses:
-            parsed[path] = _parse_one(path, root)
-
-    if cache is not None:
-        for path in misses:
-            cache.store_module(
-                cache.module_key(sources[path], _rel(path)), parsed[path]
-            )
-    return [parsed[path] for path in files]
+            key = cache.module_key(sources[path], _rel(path))
+            cached = cache.load_module(key)
+            if cached is not None:
+                parsed.append(cached)
+                continue
+        module = parse_module(path, root=root)
+        if key is not None:
+            cache.store_module(key, module)
+        parsed.append(module)
+    return parsed
 
 
 def run(
@@ -365,7 +341,6 @@ def run(
     ignore: Iterable[str] | None = None,
     respect_suppressions: bool = True,
     root: Path | None = None,
-    jobs: int = 1,
     cache: "object | None" = None,
 ) -> LintResult:
     """Lint ``paths`` and return all (kept and suppressed) violations.
@@ -377,7 +352,6 @@ def run(
         respect_suppressions: When False, report even suppressed findings.
         root: Paths are reported relative to this directory (defaults to
             the current working directory when files live under it).
-        jobs: Parse files with this many worker processes (1 = inline).
         cache: Optional :class:`~tools.demonlint.cache.AnalysisCache`;
             unchanged files skip parsing and an unchanged tree skips
             the whole run.
@@ -421,7 +395,7 @@ def run(
 
     modules: list[ModuleInfo] = []
     violations: list[Violation] = []
-    for parsed in _parse_all(files, root, jobs, cache, sources):
+    for parsed in _parse_all(files, root, cache, sources):
         if isinstance(parsed, Violation):
             violations.append(parsed)
         else:
@@ -441,10 +415,8 @@ def run(
                     suppressed.append(violation)
                 else:
                     kept.append(violation)
-    # Explicit (path, line, rule) ordering: the report must be
-    # byte-for-byte identical whatever --jobs parsed the files in
-    # whatever order (the determinism regression test diffs stdout of
-    # --jobs 1 against --jobs 4).
+    # Explicit (path, line, rule) ordering: the report does not depend
+    # on which rule found what first.
     order = lambda v: (v.path, v.line, v.rule_id, v.col, v.message)  # noqa: E731
     result = LintResult(
         violations=sorted(set(kept), key=order),

@@ -1,19 +1,11 @@
-"""Render a :class:`~tools.demonlint.core.LintResult` as text, JSON,
-or SARIF 2.1.0 (for code-scanning upload from CI)."""
+"""Render a :class:`~tools.demonlint.core.LintResult` as text or JSON."""
 
 from __future__ import annotations
 
 import json
 from collections import Counter
 
-from tools.demonlint.core import LintResult, registered_rules
-
-#: SARIF 2.1.0 identity constants.
-_SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+from tools.demonlint.core import LintResult
 
 
 def render_text(result: LintResult, verbose: bool = False) -> str:
@@ -70,74 +62,3 @@ def render_json(result: LintResult) -> str:
     }
     return json.dumps(payload, indent=2)
 
-
-def render_sarif(result: LintResult) -> str:
-    """SARIF 2.1.0 report (one run, reporting descriptors per rule).
-
-    Suppressed findings are included with an ``inSource`` suppression
-    record, mirroring how viewers expect in-code disables to surface;
-    kept findings carry no ``suppressions`` array.
-    """
-    rules = registered_rules()
-    used_ids = sorted(
-        {v.rule_id for v in result.violations}
-        | {v.rule_id for v in result.suppressed}
-    )
-    descriptors = [
-        {
-            "id": rule_id,
-            "shortDescription": {
-                "text": rules[rule_id].title if rule_id in rules else rule_id
-            },
-        }
-        for rule_id in used_ids
-    ]
-    rule_index = {rule_id: i for i, rule_id in enumerate(used_ids)}
-
-    def _result(violation, suppressed: bool) -> dict:
-        entry = {
-            "ruleId": violation.rule_id,
-            "ruleIndex": rule_index[violation.rule_id],
-            "level": "error",
-            "message": {"text": violation.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": violation.path.replace("\\", "/"),
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": violation.line,
-                            # SARIF columns are 1-based; demonlint's are 0-based.
-                            "startColumn": violation.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        if suppressed:
-            entry["suppressions"] = [{"kind": "inSource"}]
-        return entry
-
-    payload = {
-        "$schema": _SARIF_SCHEMA,
-        "version": _SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "demonlint",
-                        "informationUri": "docs/STATIC_ANALYSIS.md",
-                        "rules": descriptors,
-                    }
-                },
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "results": [
-                    *(_result(v, suppressed=False) for v in result.violations),
-                    *(_result(v, suppressed=True) for v in result.suppressed),
-                ],
-            }
-        ],
-    }
-    return json.dumps(payload, indent=2)

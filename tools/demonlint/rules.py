@@ -1,4 +1,5 @@
-"""The per-file demonlint rule set (DML001–DML005, DML007, DML013).
+"""The per-file demonlint rule set (DML001, DML002, DML004, DML005, DML007,
+DML013).
 
 Each rule encodes one maintainer contract the DEMON paper states in
 prose; ``docs/STATIC_ANALYSIS.md`` carries the section references and
@@ -335,101 +336,6 @@ class CloneBeforeMutateRule(Rule):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 checker.check_function(node)
         yield from checker.violations.values()
-
-
-# ----------------------------------------------------------------------
-# DML003 — BSS constructors take strict 0/1 bit literals
-# ----------------------------------------------------------------------
-
-BSS_CLASSES = {"WindowIndependentBSS", "WindowRelativeBSS"}
-
-
-def _is_bss_constructor(module: ModuleInfo, node: ast.Call) -> str | None:
-    resolved = module.resolve_call(node.func)
-    if resolved is None:
-        return None
-    bare = resolved.split(".")[-1]
-    return bare if bare in BSS_CLASSES else None
-
-
-def _bad_bit(node: ast.expr) -> bool:
-    """Whether a literal element is not a plain int 0 or 1."""
-    if not isinstance(node, ast.Constant):
-        return False  # dynamic values are the runtime validator's job
-    value = node.value
-    if isinstance(value, bool) or not isinstance(value, int):
-        return True
-    return value not in (0, 1)
-
-
-@register
-class StrictBitVectorRule(Rule):
-    """DML003: BSS literals must be strict 0/1 bit vectors (§2.3).
-
-    Definition 2.1 defines a block selection sequence as a bit sequence;
-    bools, floats, and characters all coerce somewhere downstream of the
-    projection/right-shift arithmetic and silently change which blocks a
-    model is extracted from.  Literal arguments to the BSS constructors
-    must therefore spell plain ints 0/1.
-    """
-
-    rule_id = "DML003"
-    title = "non-bit literal passed to a BSS constructor"
-
-    def check(self, module: ModuleInfo, project: Project) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            cls = _is_bss_constructor(module, node)
-            if cls is None:
-                continue
-            bits_args: list[ast.expr] = []
-            if node.args:
-                bits_args.append(node.args[0])
-            for kw in node.keywords:
-                if kw.arg == "bits":
-                    bits_args.append(kw.value)
-                elif kw.arg == "default" and _bad_bit(kw.value):
-                    yield Violation(
-                        path=module.relpath,
-                        line=kw.value.lineno,
-                        col=kw.value.col_offset,
-                        rule_id=self.rule_id,
-                        message=f"{cls} default bit must be the int 0 or 1",
-                    )
-            for arg in bits_args:
-                yield from self._check_bits(module, cls, arg)
-
-    def _check_bits(
-        self, module: ModuleInfo, cls: str, arg: ast.expr
-    ) -> Iterator[Violation]:
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            yield Violation(
-                path=module.relpath,
-                line=arg.lineno,
-                col=arg.col_offset,
-                rule_id=self.rule_id,
-                message=(
-                    f"{cls} bits must be an iterable of ints 0/1, "
-                    f"not a string literal"
-                ),
-            )
-            return
-        if not isinstance(arg, (ast.List, ast.Tuple, ast.Set)):
-            return
-        for element in arg.elts:
-            if _bad_bit(element):
-                rendered = ast.unparse(element)
-                yield Violation(
-                    path=module.relpath,
-                    line=element.lineno,
-                    col=element.col_offset,
-                    rule_id=self.rule_id,
-                    message=(
-                        f"{cls} bits must be the ints 0 or 1, got {rendered} "
-                        f"(bools/floats silently coerce, §2.3)"
-                    ),
-                )
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ Two scopes are supported, both spelled inside a regular ``#`` comment:
 * ``# demonlint: disable=DML004`` — suppress the named rule(s) on the
   physical line carrying the comment.  Several rules may be listed,
   separated by commas; ``all`` suppresses every rule on that line.
-* ``# demonlint: disable-file=DML003`` — suppress the named rule(s) for
+* ``# demonlint: disable-file=DML004`` — suppress the named rule(s) for
   the whole file, wherever the comment appears (conventionally at the
   top of the module).
 
