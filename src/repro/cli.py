@@ -413,7 +413,6 @@ def cmd_info(out) -> int:
         "  repro.core        data span, BSS, GEMM, MiningSession",
         "  repro.itemsets    Apriori, BORDERS, PT-Scan/ECUT/ECUT+, FUP, rules",
         "  repro.clustering  BIRCH(+), CF-tree, K-Means, incremental DBSCAN",
-        "  repro.trees       decision trees, incremental maintainers",
         "  repro.deviation   FOCUS, significance, block similarity",
         "  repro.patterns    compact sequences, cyclic post-processing",
         "  repro.datagen     Quest, cluster data, proxy trace",

@@ -33,6 +33,17 @@ class ClusterFeature:
         self.ls = None if ls is None else np.asarray(ls, dtype=float)
         self.ss = float(ss)
 
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        # An unpickled array carries its own float64 dtype instance, and
+        # pickle memoizes dtypes by identity, so a model that crossed a
+        # worker pipe would re-pickle to other bytes than the serial
+        # run's.  astype() re-types onto the shared instance.
+        _, slots = state
+        ls = slots["ls"]
+        self.n = slots["n"]
+        self.ls = None if ls is None else ls.astype(np.float64)
+        self.ss = slots["ss"]
+
     @classmethod
     def from_point(cls, point: Sequence[float]) -> "ClusterFeature":
         """CF of a single point."""

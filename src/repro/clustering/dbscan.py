@@ -44,7 +44,12 @@ class GridIndex:
             raise ValueError(f"eps must be positive, got {eps}")
         self.eps = eps
         self.dim = dim
-        self._cells: dict[tuple[int, ...], set[int]] = {}
+        # Cells are insertion-ordered dicts used as sets.  A set's
+        # iteration order follows its insert/delete history, which an
+        # unpickled copy does not share, so neighbor order (and with it
+        # border tie-breaking and the model's bytes) would differ
+        # between a model and its checkpointed or worker-built copy.
+        self._cells: dict[tuple[int, ...], dict[int, None]] = {}
         self._points: dict[int, Point] = {}
         self._offsets = list(itertools.product((-1, 0, 1), repeat=dim))
 
@@ -69,13 +74,13 @@ class GridIndex:
         if len(point) != self.dim:
             raise ValueError(f"expected {self.dim}-d point, got {len(point)}-d")
         self._points[point_id] = point
-        self._cells.setdefault(self._cell_of(point), set()).add(point_id)
+        self._cells.setdefault(self._cell_of(point), {})[point_id] = None
 
     def remove(self, point_id: int) -> Point:
         point = self._points.pop(point_id)
         cell = self._cell_of(point)
         members = self._cells[cell]
-        members.discard(point_id)
+        members.pop(point_id, None)
         if not members:
             del self._cells[cell]
         return point

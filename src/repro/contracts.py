@@ -249,11 +249,6 @@ def critical_section(arg: "str | Callable[..., Any]") -> Any:
     return _CriticalRegion(str(arg))
 
 
-def in_critical_section() -> str | None:
-    """The innermost active critical-section label, or ``None``."""
-    return _CRITICAL[-1] if _CRITICAL else None
-
-
 def blocking_call(name: str) -> None:
     """Declare that the caller is about to block (the DML024 twin).
 
@@ -286,11 +281,6 @@ def worker_scope() -> Iterator[None]:
         yield
     finally:
         _WORKER_SCOPE -= 1
-
-
-def in_worker_scope() -> bool:
-    """Whether a worker task body is executing in this process."""
-    return _WORKER_SCOPE > 0
 
 
 def claim_ownership(handle: Any, scope: str | None = None) -> None:

@@ -1,6 +1,6 @@
 """DEMON core: block evolution, data span, BSS, GEMM, and the monitor."""
 
-from repro.core.blocks import Block, Snapshot, make_block, merge_blocks
+from repro.core.blocks import Block, Snapshot, make_block
 from repro.core.bss import (
     WindowIndependentBSS,
     WindowRelativeBSS,
@@ -27,7 +27,6 @@ __all__ = [
     "Block",
     "Snapshot",
     "make_block",
-    "merge_blocks",
     "WindowIndependentBSS",
     "WindowRelativeBSS",
     "weekday_bss",

@@ -372,29 +372,3 @@ class Snapshot(Generic[T]):
             return 0
         return sum(b.num_records for b in self.blocks(lo, hi))
 
-
-def merge_blocks(
-    blocks: Sequence[Block[T]],
-    block_id: int,
-    label: str = "",
-    *,
-    backend: Any = None,
-) -> Block[T]:
-    """Merge several blocks into one coarser block.
-
-    The paper (§2.1) notes that hierarchies on the time dimension are
-    handled by merging all blocks that fall under the same parent; this
-    helper performs that merge.  Records are concatenated in block
-    order, streamed chunk-wise from the source blocks.
-    """
-    if not blocks:
-        raise ValueError("cannot merge an empty sequence of blocks")
-
-    def stream() -> Iterator[T]:
-        for block in blocks:
-            yield from block.iter_records()
-
-    merged_meta: dict[str, Any] = {"merged_from": [b.block_id for b in blocks]}
-    return make_block(
-        block_id, stream(), label=label, metadata=merged_meta, backend=backend
-    )

@@ -112,7 +112,7 @@ class SampledDeviationEstimator:
         # transactions -> itemset models, numeric rows -> cluster
         # models); re-derived lazily after a restore.  ``_unsupported``
         # latches when the records fit neither shape (e.g. labelled
-        # tree points) — those streams get no drift signal and the
+        # points) — those streams get no drift signal and the
         # scheduler falls back to eager behavior.
         self._fn: DeviationFunction | None = None
         self._unsupported = False
@@ -149,7 +149,7 @@ class SampledDeviationEstimator:
 
         Returns ``None`` when the records fit neither FOCUS model
         family — flat int tuples (transactions) or flat numeric rows
-        (points).  Nested or mixed records (labelled tree points,
+        (points).  Nested or mixed records (labelled points,
         arbitrary payloads) carry no sampled drift signal, and
         :meth:`estimate` conservatively reports certain drift so the
         scheduler maintains every block, exactly matching eager.

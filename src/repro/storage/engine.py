@@ -14,10 +14,11 @@ Three backends ship:
   one materialized tuple, now with chunked iteration and byte metering.
 * :class:`MmapBackend` — an on-disk columnar layout under a block
   directory: dense float blocks store one ``.npy`` per column, ragged
-  integer transactions store a CSR pair (``values.npy``/``offsets.npy``),
-  anything else falls back to per-chunk pickles.  Arrays are lazily
-  opened with ``numpy`` memory mapping and released by :meth:`close`,
-  so resident memory stays bounded by the chunk size, not the block.
+  integer transactions store a CSR pair (``values.npy``/``offsets.npy``);
+  any other record shape is rejected with :class:`SchemaError`.  Arrays
+  are lazily opened with ``numpy`` memory mapping and released by
+  :meth:`close`, so resident memory stays bounded by the chunk size,
+  not the block.
 * :class:`TieredBackend` — mmap storage plus a hot/cold lifecycle:
   blocks expired from the most recent window compact to compressed
   per-chunk blobs (``storage/codecs.py``) in one ``packed.bin``,
@@ -25,7 +26,7 @@ Three backends ship:
   being scanned promotes itself back to the dense layout.
 
 Byte accounting is *logical* and backend-independent (4 bytes per
-integer field, 8 per coordinate, pickled size otherwise — see
+integer field, 8 per coordinate — see
 :func:`repro.core.blocks.record_nbytes`): ingest charges one write of
 the block's size, every yielded chunk charges one read of that chunk's
 size.  Identical data therefore produces identical
@@ -44,7 +45,6 @@ from __future__ import annotations
 import atexit
 import json
 import os
-import pickle
 import shutil
 import tempfile
 import weakref
@@ -80,7 +80,6 @@ T = TypeVar("T")
 #: Columnar layout kinds a block directory can hold.
 KIND_CSR = "csr"
 KIND_DENSE = "dense"
-KIND_PICKLE = "pickle"
 
 #: Version stamp of the on-disk block directory layout.
 BLOCK_DIR_FORMAT = 1
@@ -98,8 +97,8 @@ class BlockSchema:
     """The columnar layout chosen for one block.
 
     Attributes:
-        kind: ``"csr"`` (ragged integer transactions), ``"dense"``
-            (fixed-width float points), or ``"pickle"`` (fallback).
+        kind: ``"csr"`` (ragged integer transactions) or ``"dense"``
+            (fixed-width float points).
         width: Column count; meaningful for the dense kind only.
     """
 
@@ -129,10 +128,10 @@ def _is_float_record(record: Any, width: int) -> bool:
 def infer_schema(records: Sequence[Any]) -> BlockSchema:
     """Choose a columnar layout from the first chunk of a record stream.
 
-    Ragged tuples of plain ``int`` become CSR, fixed-width tuples of
-    plain ``float`` become dense npy-per-column, everything else (e.g.
-    labelled points) is stored as pickled chunks.  Empty blocks are
-    vacuously CSR.
+    Ragged tuples of plain ``int`` become CSR and fixed-width tuples of
+    plain ``float`` become dense npy-per-column; any other shape (nested
+    tuples, mixed or ragged floats, bools) raises :class:`SchemaError`.
+    Empty blocks are vacuously CSR.
     """
     if not records:
         return BlockSchema(KIND_CSR)
@@ -141,7 +140,11 @@ def infer_schema(records: Sequence[Any]) -> BlockSchema:
     width = len(records[0]) if isinstance(records[0], tuple) else 0
     if width and all(_is_float_record(r, width) for r in records):
         return BlockSchema(KIND_DENSE, width=width)
-    return BlockSchema(KIND_PICKLE)
+    raise SchemaError(
+        f"records such as {records[0]!r} fit neither the csr layout (ragged "
+        f"tuples of int) nor the dense one (fixed-width tuples of float); "
+        f"only the in-memory backend stores other record shapes"
+    )
 
 
 def _chunked(records: Iterable[T], size: int) -> Iterator[list[T]]:
@@ -273,19 +276,14 @@ def _write_block_dir(
     schema = infer_schema(first)
     if schema.kind == KIND_CSR:
         num_records, nbytes = _write_csr(path, first, chunks)
-        chunk_rows: list[dict[str, int]] = []
-    elif schema.kind == KIND_DENSE:
-        num_records, nbytes = _write_dense(path, first, chunks, schema.width)
-        chunk_rows = []
     else:
-        num_records, nbytes, chunk_rows = _write_pickle(path, first, chunks)
+        num_records, nbytes = _write_dense(path, first, chunks, schema.width)
     meta = {
         "format": BLOCK_DIR_FORMAT,
         "schema": schema.to_dict(),
         "num_records": num_records,
         "nbytes": nbytes,
         "chunk_size": chunk_size,
-        "chunks": chunk_rows,
     }
     atomic_json(os.path.join(path, "meta.json"), meta)
     return MmapBlockData(
@@ -293,7 +291,6 @@ def _write_block_dir(
         schema=schema,
         num_records=num_records,
         nbytes=nbytes,
-        chunk_rows=chunk_rows,
         chunk_size=chunk_size,
     )
 
@@ -363,26 +360,6 @@ def _write_dense(
     return num_records, FLOAT_BYTES * width * num_records
 
 
-def _write_pickle(
-    path: str, first: list[Any], rest: Iterator[list[Any]]
-) -> tuple[int, int, list[dict[str, int]]]:
-    chunk_rows: list[dict[str, int]] = []
-    num_records = 0
-    nbytes = 0
-    for index, chunk in enumerate(_prepend(first, rest)):
-        with atomic_writer(os.path.join(path, f"chunk_{index:05d}.pkl")) as fh:
-            # Canonicalized records keep the stored bytes free of
-            # caller-side object aliasing (see _fresh).
-            pickle.dump(
-                [_fresh(r) for r in chunk], fh, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        chunk_nbytes = records_nbytes(chunk)
-        chunk_rows.append({"count": len(chunk), "nbytes": chunk_nbytes})
-        num_records += len(chunk)
-        nbytes += chunk_nbytes
-    return num_records, nbytes, chunk_rows
-
-
 def _prepend(first: list[T], rest: Iterator[list[T]]) -> Iterator[list[T]]:
     if first:
         yield first
@@ -397,7 +374,6 @@ class MmapBlockData(Generic[T]):
         "schema",
         "_num_records",
         "_nbytes",
-        "_chunk_rows",
         "_chunk_size",
         "_stats",
         "_cache",
@@ -412,7 +388,6 @@ class MmapBlockData(Generic[T]):
         schema: BlockSchema,
         num_records: int,
         nbytes: int,
-        chunk_rows: list[dict[str, int]],
         chunk_size: int | None = None,
         stats: IOStats | None = None,
     ) -> None:
@@ -420,7 +395,6 @@ class MmapBlockData(Generic[T]):
         self.schema = schema
         self._num_records = num_records
         self._nbytes = nbytes
-        self._chunk_rows = chunk_rows
         self._chunk_size = chunk_size
         self._stats = stats
         self._cache: Any = None
@@ -476,15 +450,13 @@ class MmapBlockData(Generic[T]):
                     np.load(os.path.join(self.path, "values.npy"), mmap_mode="r"),
                     np.load(os.path.join(self.path, "offsets.npy"), mmap_mode="r"),
                 )
-            elif self.schema.kind == KIND_DENSE:
+            else:
                 self._cache = [
                     np.load(
                         os.path.join(self.path, f"col_{j:03d}.npy"), mmap_mode="r"
                     )
                     for j in range(self.schema.width)
                 ]
-            else:
-                self._cache = ()
         return self._cache
 
     # -- record iteration ----------------------------------------------
@@ -519,10 +491,8 @@ class MmapBlockData(Generic[T]):
     ) -> Iterator[tuple[Sequence[T], int]]:
         if self.schema.kind == KIND_CSR:
             yield from self._csr_chunks(size)
-        elif self.schema.kind == KIND_DENSE:
-            yield from self._dense_chunks(size)
         else:
-            yield from self._pickle_chunks(size)
+            yield from self._dense_chunks(size)
 
     def _csr_chunks(self, size: int) -> Iterator[tuple[Sequence[T], int]]:
         values, offsets = self._arrays()
@@ -545,19 +515,6 @@ class MmapBlockData(Generic[T]):
             arr = np.column_stack([column[start:stop] for column in columns])
             records = [tuple(row) for row in arr.tolist()]
             yield records, FLOAT_BYTES * width * (stop - start)
-
-    def _pickle_chunks(self, size: int) -> Iterator[tuple[Sequence[T], int]]:
-        pending: list[T] = []
-        for index in range(len(self._chunk_rows)):
-            with open(
-                os.path.join(self.path, f"chunk_{index:05d}.pkl"), "rb"
-            ) as fh:
-                pending.extend(pickle.load(fh))
-            while len(pending) >= size:
-                chunk, pending = pending[:size], pending[size:]
-                yield chunk, records_nbytes(chunk)
-        if pending:
-            yield pending, records_nbytes(pending)
 
     # -- eager views ----------------------------------------------------
 
@@ -779,7 +736,12 @@ class MmapBackend(BlockBackend):
 
     def _create_data(self, records: Iterable[T]) -> MmapBlockData[T]:
         path = self._claim_block_dir()
-        data = _write_block_dir(path, records, self.resolved_chunk_size())
+        try:
+            data = _write_block_dir(path, records, self.resolved_chunk_size())
+        except BaseException:
+            # A rejected stream (SchemaError) publishes no directory.
+            shutil.rmtree(path, ignore_errors=True)
+            raise
         data.bind_stats(self._stats)
         return data
 
@@ -810,7 +772,7 @@ PROMOTE_AFTER_READS = 2
 #: chunks instead of the whole block's touched pages.
 _DEMOTE_RECYCLE_CHUNKS = 16
 
-#: Codec recorded for the byte-payload (dense float / pickle) layouts.
+#: Codec recorded for the dense float layout.
 DEFLATE_CODEC = "deflate"
 
 #: Codec for the CSR offset columns (and for value runs too wide for
@@ -818,13 +780,11 @@ DEFLATE_CODEC = "deflate"
 INT_CODEC = "delta-varint"
 
 
-def _dense_file_names(schema: BlockSchema, chunk_rows: list[dict[str, int]]) -> list[str]:
+def _dense_file_names(schema: BlockSchema) -> list[str]:
     """The dense-layout files a block directory holds for ``schema``."""
     if schema.kind == KIND_CSR:
         return ["values.npy", "offsets.npy"]
-    if schema.kind == KIND_DENSE:
-        return [f"col_{j:03d}.npy" for j in range(schema.width)]
-    return [f"chunk_{index:05d}.pkl" for index in range(len(chunk_rows))]
+    return [f"col_{j:03d}.npy" for j in range(schema.width)]
 
 
 class TieredBlockData(MmapBlockData[T]):
@@ -835,7 +795,7 @@ class TieredBlockData(MmapBlockData[T]):
     of per-chunk codec blobs (delta+varint for CSR offset columns,
     raw ``uint16`` for value runs that fit it — they are unsorted, so
     delta-varint buys no bytes there and raw decodes branch-free —
-    deflate for float rows and pickled chunks), rewrites ``meta.json``
+    deflate for float rows), rewrites ``meta.json``
     with the tier, codec, and packed chunk index, and deletes the dense
     files; :meth:`promote` is the exact inverse.  Readers never notice:
     chunk boundaries and logical byte charges are identical in both
@@ -855,7 +815,6 @@ class TieredBlockData(MmapBlockData[T]):
         schema: BlockSchema,
         num_records: int,
         nbytes: int,
-        chunk_rows: list[dict[str, int]],
         chunk_size: int | None = None,
         stats: IOStats | None = None,
         tier: str = TIER_HOT,
@@ -867,7 +826,6 @@ class TieredBlockData(MmapBlockData[T]):
             schema=schema,
             num_records=num_records,
             nbytes=nbytes,
-            chunk_rows=chunk_rows,
             chunk_size=chunk_size,
             stats=stats,
         )
@@ -885,7 +843,6 @@ class TieredBlockData(MmapBlockData[T]):
             schema=data.schema,
             num_records=data._num_records,
             nbytes=data._nbytes,
-            chunk_rows=data._chunk_rows,
             chunk_size=data._chunk_size,
             stats=data._stats,
         )
@@ -913,7 +870,6 @@ class TieredBlockData(MmapBlockData[T]):
             "num_records": self._num_records,
             "nbytes": self._nbytes,
             "chunk_size": self._chunk_size,
-            "chunks": self._chunk_rows,
             "tier": self.tier,
         }
         if self.tier == TIER_COLD:
@@ -940,12 +896,11 @@ class TieredBlockData(MmapBlockData[T]):
         codec = resolve_codec(INT_CODEC) if self.schema.kind == KIND_CSR else None
         dense_files = [
             os.path.join(self.path, name)
-            for name in _dense_file_names(self.schema, self._chunk_rows)
+            for name in _dense_file_names(self.schema)
         ]
         reclaimed = sum(os.path.getsize(f) for f in dense_files if os.path.exists(f))
         size = self._default_size()
         entries: list[dict[str, Any]] = []
-        offset = 0
         # Crash-safe ordering: publish packed.bin atomically, flip the
         # in-memory tier, publish meta.json atomically, and only then
         # delete the dense files.  A crash at any point leaves either a
@@ -954,11 +909,9 @@ class TieredBlockData(MmapBlockData[T]):
         # readable; orphans are overwritten by the next transition.
         with atomic_writer(self.packed_path) as out:
             if self.schema.kind == KIND_CSR:
-                offset = self._demote_csr(out, codec, size, entries)
-            elif self.schema.kind == KIND_DENSE:
-                offset = self._demote_dense(out, deflate, size, entries)
+                self._demote_csr(out, codec, size, entries)
             else:
-                offset = self._demote_pickle(out, deflate, entries)
+                self._demote_dense(out, deflate, size, entries)
         self._cache = None
         self.tier = TIER_COLD
         self.codec = codec_name
@@ -976,7 +929,7 @@ class TieredBlockData(MmapBlockData[T]):
         codec: Any,
         size: int,
         entries: list[dict[str, Any]],
-    ) -> int:
+    ) -> None:
         from repro.storage.codecs import resolve_codec
 
         offset = 0
@@ -1016,7 +969,6 @@ class TieredBlockData(MmapBlockData[T]):
             offset += len(offsets_blob) + len(values_blob)
             if (index + 1) % _DEMOTE_RECYCLE_CHUNKS == 0:
                 self._cache = None
-        return offset
 
     def _demote_dense(
         self,
@@ -1024,7 +976,7 @@ class TieredBlockData(MmapBlockData[T]):
         deflate: Any,
         size: int,
         entries: list[dict[str, Any]],
-    ) -> int:
+    ) -> None:
         offset = 0
         width = self.schema.width
         for index, start in enumerate(range(0, self._num_records, size)):
@@ -1039,22 +991,6 @@ class TieredBlockData(MmapBlockData[T]):
             offset += len(blob)
             if (index + 1) % _DEMOTE_RECYCLE_CHUNKS == 0:
                 self._cache = None
-        return offset
-
-    def _demote_pickle(
-        self, out: Any, deflate: Any, entries: list[dict[str, Any]]
-    ) -> int:
-        offset = 0
-        for index, row in enumerate(self._chunk_rows):
-            with open(
-                os.path.join(self.path, f"chunk_{index:05d}.pkl"), "rb"
-            ) as fh:
-                raw = fh.read()
-            blob = deflate(raw)
-            out.write(blob)
-            entries.append({"count": row["count"], "spans": [[offset, len(blob)]]})
-            offset += len(blob)
-        return offset
 
     # -- promotion (cold -> hot) ---------------------------------------
 
@@ -1063,9 +999,8 @@ class TieredBlockData(MmapBlockData[T]):
 
         Returns the compressed bytes removed (0 when already hot).  The
         rebuilt dense files are byte-identical to the pre-demotion ones
-        (codecs round-trip exactly; pickle chunks inflate to their
-        original bytes), so a demote/promote cycle is invisible to
-        checkpoints and the parallel shard path.
+        (codecs round-trip exactly), so a demote/promote cycle is
+        invisible to checkpoints and the parallel shard path.
         """
         if self.tier != TIER_COLD:
             return 0
@@ -1077,10 +1012,8 @@ class TieredBlockData(MmapBlockData[T]):
         # meta is unreferenced and inert).
         if self.schema.kind == KIND_CSR:
             self._promote_csr()
-        elif self.schema.kind == KIND_DENSE:
-            self._promote_dense()
         else:
-            self._promote_pickle()
+            self._promote_dense()
         self._cache = None
         self.tier = TIER_HOT
         self.codec = None
@@ -1146,19 +1079,6 @@ class TieredBlockData(MmapBlockData[T]):
             atomic_save(
                 os.path.join(self.path, f"col_{j:03d}.npy"), matrix[:, j].copy()
             )
-
-    def _promote_pickle(self) -> None:
-        from repro.storage.codecs import inflate
-
-        packed = self._packed()
-        for index, entry in enumerate(self._packed_rows):
-            (off, length) = entry["spans"][0]
-            raw = inflate(packed[off : off + length])
-            self._cache = None
-            with atomic_writer(
-                os.path.join(self.path, f"chunk_{index:05d}.pkl")
-            ) as fh:
-                fh.write(raw)
 
     # -- cold reads ----------------------------------------------------
 
@@ -1246,7 +1166,7 @@ class TieredBlockData(MmapBlockData[T]):
                     ],
                     INT_BYTES * int(entry["values"]),
                 )
-        elif self.schema.kind == KIND_DENSE:
+        else:
             width = self.schema.width
             for entry in self._packed_rows:
                 packed = self._packed()
@@ -1258,12 +1178,6 @@ class TieredBlockData(MmapBlockData[T]):
                     [tuple(row) for row in rows.tolist()],
                     FLOAT_BYTES * width * int(entry["count"]),
                 )
-        else:
-            for entry in self._packed_rows:
-                packed = self._packed()
-                (off, length) = entry["spans"][0]
-                records = pickle.loads(inflate(packed[off : off + length]))
-                yield records, records_nbytes(records)
 
     def as_array(self, dtype: Any = float) -> Any:
         if self.tier != TIER_COLD:
@@ -1287,7 +1201,8 @@ def load_block_data(path: str, stats: IOStats | None = None) -> MmapBlockData[An
     :class:`TieredBlockData` reading ``packed.bin`` in place — this is
     how parallel workers reopen compressed columns zero-copy.  A
     directory whose ``"format"`` is missing or is not
-    :data:`BLOCK_DIR_FORMAT` raises ``ValueError`` naming ``path``.
+    :data:`BLOCK_DIR_FORMAT`, or whose schema kind is neither csr nor
+    dense, raises ``ValueError`` naming ``path``.
     """
     meta_path = os.path.join(path, "meta.json")
     with open(meta_path, "r", encoding="utf-8") as fh:
@@ -1299,12 +1214,16 @@ def load_block_data(path: str, stats: IOStats | None = None) -> MmapBlockData[An
             f"expected {BLOCK_DIR_FORMAT}"
         )
     schema = BlockSchema.from_dict(meta["schema"])
+    if schema.kind not in (KIND_CSR, KIND_DENSE):
+        raise ValueError(
+            f"{meta_path!r} has block schema kind {schema.kind!r}; "
+            f"expected {KIND_CSR!r} or {KIND_DENSE!r}"
+        )
     common = dict(
         path=path,
         schema=schema,
         num_records=int(meta["num_records"]),
         nbytes=int(meta["nbytes"]),
-        chunk_rows=meta.get("chunks", []),
         chunk_size=meta.get("chunk_size"),
         stats=stats,
     )

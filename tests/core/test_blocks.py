@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.blocks import Block, Snapshot, make_block, merge_blocks
+from repro.core.blocks import Block, Snapshot, make_block
 from repro.storage.engine import InMemoryBackend, MmapBackend, MmapBlockData
 
 
@@ -126,26 +126,3 @@ class TestSnapshot:
         assert snapshot.tuple_count(2, 2) == 5
         assert snapshot.tuple_count(2, 1) == 0
 
-
-class TestMergeBlocks:
-    def test_merges_in_order(self):
-        merged = merge_blocks(
-            [make_block(1, [(1,)]), make_block(2, [(2,)])], block_id=1
-        )
-        assert merged.tuples == ((1,), (2,))
-        assert merged.metadata["merged_from"] == [1, 2]
-
-    def test_empty_merge_rejected(self):
-        with pytest.raises(ValueError):
-            merge_blocks([], block_id=1)
-
-    def test_merge_streams_onto_a_backend(self, tmp_path):
-        backend = MmapBackend(root=str(tmp_path))
-        merged = merge_blocks(
-            [make_block(1, [(1,)]), make_block(2, [(2,), (3,)])],
-            block_id=1,
-            backend=backend,
-        )
-        assert isinstance(merged.data, MmapBlockData)
-        assert merged.materialize() == ((1,), (2,), (3,))
-        assert merged.metadata["merged_from"] == [1, 2]

@@ -9,9 +9,7 @@ from repro.core.gemm import GEMM
 from repro.itemsets.apriori import mine_blocks
 from repro.itemsets.borders import BordersMaintainer, ItemsetMiningContext
 from repro.storage.persist import ModelVault, load_model, save_model
-from repro.trees.maintain import LeafRefinementTreeMaintainer
 from tests.conftest import gaussian_point_blocks, transaction_blocks
-from tests.trees.test_maintain import labelled_blocks
 
 
 class TestSerializationRoundTrips:
@@ -32,14 +30,6 @@ class TestSerializationRoundTrips:
         assert revived.tree.n_points == state.tree.n_points
         assert revived.clusters.k == state.clusters.k
         assert revived.tree.check_invariants() == []
-
-    def test_tree_model(self):
-        blocks = labelled_blocks(2, 100)
-        maintainer = LeafRefinementTreeMaintainer()
-        model = maintainer.build(blocks)
-        revived = load_model(save_model(model))
-        assert revived.tree.n_leaves() == model.tree.n_leaves()
-        assert revived.tree.predict((1.0, 1.0)) == model.tree.predict((1.0, 1.0))
 
     def test_dbscan_model(self):
         maintainer = IncrementalDBSCANMaintainer(eps=1.5, min_pts=4, dim=2)
@@ -90,19 +80,6 @@ class TestRestoreThenMaintainEquivalence:
             sorted(tuple(c.centroid()) for c in truth.clusters.clusters),
         )
 
-    def test_tree_model(self):
-        blocks = labelled_blocks(3, 100)
-        maintainer = LeafRefinementTreeMaintainer()
-        truth = maintainer.build(blocks)
-        revived = self.vault_round_trip(maintainer.build(blocks[:2]))
-        resumed = maintainer.add_block(revived, blocks[2])
-        assert resumed.tree.n_leaves() == truth.tree.n_leaves()
-        assert resumed.tree.depth() == truth.tree.depth()
-        probes = [(x * 0.5, y * 0.5) for x in range(-4, 5) for y in range(-4, 5)]
-        assert [resumed.tree.predict(p) for p in probes] == [
-            truth.tree.predict(p) for p in probes
-        ]
-
     def test_dbscan_model(self):
         blocks = gaussian_point_blocks(3, 120, seed=2300)
         maintainer = IncrementalDBSCANMaintainer(eps=1.5, min_pts=4, dim=2)
@@ -138,14 +115,17 @@ class TestGEMMVaultAcrossModelClasses:
         assert state.tree.n_points == len(blocks[3]) + len(blocks[4])
         assert vault.stats.bytes_written > 0
 
-    def test_trees_vaulted_window(self):
-        blocks = labelled_blocks(5, 100)
-        maintainer = LeafRefinementTreeMaintainer(max_depth=4)
-        gemm = GEMM(maintainer, w=2, vault=ModelVault())
+    def test_dbscan_vaulted_window(self):
+        blocks = gaussian_point_blocks(5, 120, seed=2400)
+        maintainer = IncrementalDBSCANMaintainer(eps=1.5, min_pts=4, dim=2)
+        vault = ModelVault()
+        gemm = GEMM(maintainer, w=2, vault=vault)
         for block in blocks:
             gemm.observe(block)
         model = gemm.current_model()
         assert sorted(model.selected_block_ids) == [4, 5]
+        assert len(model.clustering) == len(blocks[3]) + len(blocks[4])
+        assert vault.stats.bytes_written > 0
 
     def test_vault_footprint_is_small_vs_data(self):
         """§3.2.3: 'the space occupied by a model is insignificant when

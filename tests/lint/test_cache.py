@@ -99,18 +99,30 @@ def test_run_options_do_not_share_cache_entries(tmp_path):
 
 
 def test_warm_run_is_at_least_3x_faster(tmp_path):
+    # Only the timing and the cache hit are checked here: whether the
+    # tree is clean is test_live_tree_is_clean's business, so a lint
+    # finding in src/ does not fail this test too.
     cache = AnalysisCache(tmp_path / "cache")
     target = ROOT / "src" / "repro"
+    hits = []
+    load_result = cache.load_result
+
+    def spy(key):
+        result = load_result(key)
+        hits.append(result is not None)
+        return result
+
+    cache.load_result = spy
 
     start = time.perf_counter()
-    cold = run([target], root=ROOT, cache=cache)
+    run([target], root=ROOT, cache=cache)
     cold_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    warm = run([target], root=ROOT, cache=cache)
+    run([target], root=ROOT, cache=cache)
     warm_seconds = time.perf_counter() - start
 
-    assert cold.ok and warm.ok
+    assert hits == [False, True]
     assert warm_seconds * 3 <= cold_seconds, (
         f"cold={cold_seconds:.3f}s warm={warm_seconds:.3f}s — "
         f"expected the result-cache hit to be at least 3x faster"

@@ -1,8 +1,8 @@
 """Backend equivalence: models never see where their records live.
 
 For every model class the reproduction maintains — frequent itemsets
-(BORDERS over ECUT+), clusters (BIRCH+), decision trees, and FOCUS
-deviation-driven pattern mining — a session fed the same record
+(BORDERS over ECUT), clusters (BIRCH+ and incremental DBSCAN), and
+FOCUS deviation-driven pattern mining — a session fed the same record
 streams must end in *byte-identical* model state whether the blocks
 live on the in-memory backend or the memory-mapped columnar one, and
 the telemetry spine must record the same phases and the same logical
@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.birch_plus import BirchPlusMaintainer
+from repro.clustering.dbscan import IncrementalDBSCANMaintainer
 from repro.core.session import MiningSession
 from repro.deviation.focus import ItemsetDeviation
 from repro.deviation.similarity import BlockSimilarity
@@ -31,10 +32,6 @@ from repro.core.windows import MostRecentWindow
 from repro.storage.engine import InMemoryBackend, MmapBackend, TieredBackend
 from repro.storage.persist import ModelVault, load_model, save_model
 from repro.storage.telemetry import Telemetry
-from repro.trees.maintain import (
-    LeafRefinementTreeMaintainer,
-    RebuildingTreeMaintainer,
-)
 
 SETTINGS = dict(
     max_examples=8,
@@ -59,13 +56,6 @@ coordinate = st.floats(
 points = st.lists(
     st.tuples(coordinate, coordinate), min_size=2, max_size=25
 )
-
-labelled_points = st.lists(
-    st.tuples(st.tuples(coordinate, coordinate), st.integers(0, 2)),
-    min_size=2,
-    max_size=25,
-)
-
 
 def streams(records):
     """2–4 consecutive block streams drawn from one record strategy."""
@@ -206,7 +196,7 @@ def assert_sessions_equivalent(make_session, block_streams, tmp_dir):
     assert all(blob == payloads[0] for blob in payloads[1:])
 
 
-# -- the four model classes --------------------------------------------
+# -- the model classes ------------------------------------------------
 
 
 def borders_session(**kwargs):
@@ -217,12 +207,10 @@ def birch_session(**kwargs):
     return MiningSession(BirchPlusMaintainer(k=2, threshold=2.0), **kwargs)
 
 
-def leaf_tree_session(**kwargs):
-    return MiningSession(LeafRefinementTreeMaintainer(max_depth=3), **kwargs)
-
-
-def rebuild_tree_session(**kwargs):
-    return MiningSession(RebuildingTreeMaintainer(max_depth=3), **kwargs)
+def dbscan_session(**kwargs):
+    return MiningSession(
+        IncrementalDBSCANMaintainer(eps=5.0, min_pts=3, dim=2), **kwargs
+    )
 
 
 def focus_session(**kwargs):
@@ -260,17 +248,10 @@ class TestModelEquivalence:
         )
 
     @settings(**SETTINGS)
-    @given(block_streams=streams(labelled_points))
-    def test_leaf_refinement_tree(self, block_streams, tmp_path_factory):
+    @given(block_streams=streams(points))
+    def test_incremental_dbscan(self, block_streams, tmp_path_factory):
         assert_sessions_equivalent(
-            leaf_tree_session, block_streams, tmp_path_factory.mktemp("leaf")
-        )
-
-    @settings(**SETTINGS)
-    @given(block_streams=streams(labelled_points))
-    def test_rebuilding_tree(self, block_streams, tmp_path_factory):
-        assert_sessions_equivalent(
-            rebuild_tree_session, block_streams, tmp_path_factory.mktemp("tree")
+            dbscan_session, block_streams, tmp_path_factory.mktemp("dbscan")
         )
 
     @settings(**SETTINGS)

@@ -27,12 +27,12 @@ from repro.storage.engine import (
     BLOCK_DIR_FORMAT,
     KIND_CSR,
     KIND_DENSE,
-    KIND_PICKLE,
     BlockSchema,
     InMemoryBackend,
     MmapBackend,
     MmapBlockData,
     SchemaError,
+    TieredBackend,
     ambient_backend,
     ambient_backend_name,
     backend_from_spec,
@@ -47,7 +47,6 @@ LABELLED = [((0.5, 1.5), 0), ((2.0, -1.0), 1), ((3.25, 0.0), 0)]
 DATASETS = {
     "transactions": TRANSACTIONS,
     "points": POINTS,
-    "labelled": LABELLED,
     "empty": [],
 }
 
@@ -66,15 +65,19 @@ class TestSchemaInference:
     def test_fixed_width_floats_are_dense(self):
         assert infer_schema(POINTS) == BlockSchema(KIND_DENSE, width=2)
 
-    def test_labelled_points_fall_back_to_pickle(self):
-        assert infer_schema(LABELLED).kind == KIND_PICKLE
+    def test_labelled_points_rejected(self):
+        with pytest.raises(SchemaError, match="neither the csr"):
+            infer_schema(LABELLED)
 
-    def test_mixed_numeric_tuples_fall_back_to_pickle(self):
-        assert infer_schema([(1.0, 2.0), (1, 2)]).kind == KIND_PICKLE
-        assert infer_schema([(True, False)]).kind == KIND_PICKLE  # bools are not bits
+    def test_mixed_numeric_tuples_rejected(self):
+        with pytest.raises(SchemaError):
+            infer_schema([(1.0, 2.0), (1, 2)])
+        with pytest.raises(SchemaError):
+            infer_schema([(True, False)])  # bools are not bits
 
-    def test_ragged_floats_fall_back_to_pickle(self):
-        assert infer_schema([(1.0,), (2.0, 3.0)]).kind == KIND_PICKLE
+    def test_ragged_floats_rejected(self):
+        with pytest.raises(SchemaError):
+            infer_schema([(1.0,), (2.0, 3.0)])
 
     def test_empty_is_vacuously_csr(self):
         assert infer_schema([]) == BlockSchema(KIND_CSR)
@@ -114,7 +117,6 @@ class TestRecordRoundTrip:
         [
             ("transactions", 4 * sum(len(t) for t in TRANSACTIONS)),
             ("points", 8 * 2 * len(POINTS)),
-            ("labelled", records_nbytes(LABELLED)),
             ("empty", 0),
         ],
     )
@@ -176,7 +178,17 @@ class TestOnDiskLayout:
         assert meta["num_records"] == len(TRANSACTIONS)
         assert meta["nbytes"] == records_nbytes(TRANSACTIONS)
 
-    @pytest.mark.parametrize("found", [None, BLOCK_DIR_FORMAT + 1, "1"])
+    @pytest.mark.parametrize(
+        "found",
+        [
+            None,
+            BLOCK_DIR_FORMAT + 1,
+            "1",
+            # A schema kind other than csr/dense is a foreign layout too.
+            pytest.param(("kind", "pickle"), id="kind-pickle"),
+            pytest.param(("kind", "parquet"), id="kind-parquet"),
+        ],
+    )
     def test_block_dir_of_another_format_rejected(self, tmp_path, found):
         from repro.parallel.shards import block_ref, resolve_block
 
@@ -186,7 +198,10 @@ class TestOnDiskLayout:
         assert load_block_data(block.data.path).num_records == len(TRANSACTIONS)
         with open(path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-        if found is None:
+        field = "format"
+        if isinstance(found, tuple):
+            field, meta["schema"]["kind"] = found
+        elif found is None:
             del meta["format"]
         else:
             meta["format"] = found
@@ -196,7 +211,7 @@ class TestOnDiskLayout:
             lambda: load_block_data(block.data.path),
             lambda: resolve_block(block_ref(block)),
         ):
-            with pytest.raises(ValueError, match="format") as info:
+            with pytest.raises(ValueError, match=field) as info:
                 reopen()
             assert path in str(info.value)
 
@@ -204,14 +219,23 @@ class TestOnDiskLayout:
         backend = MmapBackend(root=str(tmp_path), chunk_size=2)
         csr = backend.ingest(1, TRANSACTIONS)
         dense = backend.ingest(2, POINTS)
-        fallback = backend.ingest(3, LABELLED)
         assert sorted(os.listdir(csr.data.path)) == [
             "meta.json", "offsets.npy", "values.npy",
         ]
         assert sorted(os.listdir(dense.data.path)) == [
             "col_000.npy", "col_001.npy", "meta.json",
         ]
-        assert "chunk_00000.pkl" in os.listdir(fallback.data.path)
+
+    @pytest.mark.parametrize("backend_cls", [MmapBackend, TieredBackend])
+    def test_other_record_shapes_publish_nothing(self, tmp_path, backend_cls):
+        backend = backend_cls(root=str(tmp_path), chunk_size=2)
+        with pytest.raises(SchemaError, match="neither the csr"):
+            backend.ingest(1, iter(LABELLED))
+        assert os.listdir(tmp_path) == []
+        assert backend.stats.writes == 0
+        # The in-memory backend still stores any record shape.
+        memory = InMemoryBackend().ingest(1, LABELLED)
+        assert memory.materialize() == tuple(LABELLED)
 
     def test_schema_violation_mid_stream_raises(self, tmp_path):
         backend = MmapBackend(root=str(tmp_path), chunk_size=2)
@@ -219,6 +243,7 @@ class TestOnDiskLayout:
         records = [(1, 2), (3,), (1.5, 2.5)]
         with pytest.raises(SchemaError, match="type-homogeneous"):
             backend.ingest(1, iter(records))
+        assert os.listdir(tmp_path) == []
 
     def test_close_releases_arrays_and_iteration_reopens(self, tmp_path):
         backend = MmapBackend(root=str(tmp_path))

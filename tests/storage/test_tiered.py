@@ -35,11 +35,9 @@ from repro.storage.telemetry import Telemetry, bind_telemetry
 
 TRANSACTIONS = [(1, 2, 3), (2,), (4, 5), (7,), (2, 3, 9)] * 8
 POINTS = [(0.5, 1.5), (2.0, -1.0), (3.25, 0.0), (-4.5, 8.0)] * 8
-LABELLED = [((0.5, 1.5), 0), ((2.0, -1.0), 1), ((3.25, 0.0), 0)] * 8
 DATASETS = {
     "transactions": TRANSACTIONS,
     "points": POINTS,
-    "labelled": LABELLED,
     "empty": [],
 }
 
