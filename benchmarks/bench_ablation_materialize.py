@@ -56,13 +56,14 @@ def ablation_setup():
 def fetched_bytes(strategy: str, budget_fraction: float) -> int:
     """Bytes ECUT+ fetches under one materialization strategy."""
     blocks, context, model, workload = ablation_setup()
-    pairs = list(model.frequent_of_size(2))
+    supports = model.frequent_of_size(2)
+    pairs = list(supports)
     rng = random.Random(11)
 
     if strategy == "support-desc":
-        ordering = {p: model.frequent[p] for p in pairs}
+        ordering = dict(supports)
     elif strategy == "support-asc":
-        ordering = {p: -model.frequent[p] for p in pairs}
+        ordering = {p: -c for p, c in supports.items()}
     elif strategy == "random":
         ordering = {p: rng.random() for p in pairs}
     elif strategy == "none":

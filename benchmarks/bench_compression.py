@@ -135,6 +135,19 @@ _RSS_CHILD = """
 import resource, sys, tempfile
 from repro.storage.engine import MmapBackend, TieredBackend
 
+def peak_rss_kb():
+    # VmHWM is this process's own high-water mark; on Linux ru_maxrss
+    # also carries over the spawning process's, which a large parent
+    # (a pytest run) would report for every child.
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
 kind, rows, width, n_blocks = (
     sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 )
@@ -166,7 +179,7 @@ total = 0
 for dirpath, _dirs, files in os.walk(root):
     for name in files:
         total += os.path.getsize(os.path.join(dirpath, name))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, total)
+print(peak_rss_kb(), total)
 """
 
 

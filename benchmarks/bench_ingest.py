@@ -124,6 +124,19 @@ _RSS_CHILD = """
 import resource, sys, tempfile
 from repro.storage.engine import InMemoryBackend, MmapBackend
 
+def peak_rss_kb():
+    # VmHWM is this process's own high-water mark; on Linux ru_maxrss
+    # also carries over the spawning process's, which a large parent
+    # (a pytest run) would report for every child.
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
 kind, rows, width = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 
 def points():
@@ -141,7 +154,7 @@ seen = 0
 for chunk in block.iter_chunks():
     seen += len(chunk)
 assert seen == rows
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(peak_rss_kb())
 """
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import pickle
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, repeat
 from typing import Any, Generic, Protocol, TypeVar
 
 T = TypeVar("T")
@@ -60,19 +61,29 @@ def record_nbytes(record: Any) -> int:
     §3.1.1).  Anything else — e.g. a labelled point — is charged its
     pickled size.
     """
-    if isinstance(record, (tuple, list)) and record:
-        if all(type(value) is int for value in record):
+    if isinstance(record, (tuple, list)):
+        kinds = set(map(type, record))
+        if kinds <= {int}:
             return INT_BYTES * len(record)
-        if all(type(value) is float for value in record):
+        if kinds == {float}:
             return FLOAT_BYTES * len(record)
-    elif isinstance(record, (tuple, list)):
-        return 0
     return len(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def records_nbytes(records: Iterable[Any]) -> int:
-    """Logical size of a batch of records."""
-    return sum(record_nbytes(record) for record in records)
+    """Logical size of a batch of records.
+
+    A batch of tuples all of plain ``int`` or all of plain ``float``,
+    the common case, is charged by C-level passes over its values; any
+    other batch record by record.
+    """
+    batch = records if isinstance(records, (list, tuple)) else list(records)
+    if all(map(isinstance, batch, repeat(tuple))):
+        kinds = set(map(type, chain.from_iterable(batch)))
+        if kinds <= {int} or kinds == {float}:
+            size = INT_BYTES if kinds <= {int} else FLOAT_BYTES
+            return size * sum(map(len, batch))
+    return sum(map(record_nbytes, batch))
 
 
 class BlockData(Protocol[T_co]):

@@ -26,16 +26,19 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.clustering.model import ClusterModel
 from repro.core.blocks import Block
 from repro.itemsets.apriori import mine_blocks
 from repro.itemsets.itemset import Itemset, Transaction
 from repro.itemsets.model import FrequentItemsetModel
 from repro.itemsets.prefix_tree import PrefixTree
 from repro.storage.telemetry import Telemetry
+
+if TYPE_CHECKING:
+    from repro.clustering.model import ClusterModel
 
 
 @dataclass

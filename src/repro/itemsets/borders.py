@@ -29,28 +29,31 @@ expansion for ``κ' < κ``).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Any
+
+import numpy as np
 
 from repro.contracts import maintainer_contract, pure_unless_cloned
 from repro.core.blocks import Block
 from repro.core.maintainer import DeletableModelMaintainer
-from repro.itemsets.apriori import apriori
 from repro.itemsets.counting import (
     ECUTCounter,
     ECUTPlusCounter,
     PTScanCounter,
     SupportCounter,
 )
-from repro.itemsets.itemset import (
-    Itemset,
-    Transaction,
-    generate_candidates,
-)
+from repro.itemsets.itemset import Transaction
 from repro.itemsets.materialize import PairTidListStore
 from repro.itemsets.model import FrequentItemsetModel
+from repro.itemsets.rows import (
+    isin_rows,
+    item_matrix,
+    join_rows,
+    pad_stack,
+    subsets_in,
+)
 from repro.itemsets.tidlist import TidListStore
 from repro.storage.blockstore import BlockStore, transaction_nbytes
 from repro.storage.iostats import IOStatsRegistry
@@ -221,14 +224,9 @@ class BordersMaintainer(
         spec cannot reproduce, so ``None`` tells the pool integration to
         fall back to shipping the whole pickled maintainer.
         """
-        counter_type = type(self.counter)
-        if counter_type is ECUTCounter:
-            kind = "ecut"
-        elif counter_type is ECUTPlusCounter:
-            kind = "ecut+"
-        elif counter_type is PTScanCounter:
-            kind = "ptscan"
-        else:
+        kinds = {ECUTCounter: "ecut", ECUTPlusCounter: "ecut+", PTScanCounter: "ptscan"}
+        kind = kinds.get(type(self.counter))
+        if kind is None:
             return None
         return {
             "maintainer": "borders",
@@ -262,7 +260,11 @@ class BordersMaintainer(
         return FrequentItemsetModel(minsup=self.minsup)
 
     def build(self, blocks) -> FrequentItemsetModel:
-        """``A_M(D, φ)``: Apriori over the blocks' TID-list catalogs and lists."""
+        """``A_M(D, φ)``: Apriori over the blocks' TID-list catalogs and lists.
+
+        The frequent items seed the update phase's expansion, whose
+        rounds are Apriori's levels, counted with ECUT's engine.
+        """
         block_list = list(blocks)
         if not block_list:
             return self.empty_model()
@@ -273,13 +275,18 @@ class BordersMaintainer(
         item_counts: Counter[int] = Counter()
         for block_id in block_ids:
             item_counts.update(tidlists.item_counts(block_id))
-        result = apriori(
-            item_counts,
-            sum(tidlists.block_size(b) for b in block_ids),
-            self.minsup,
-            lambda candidates: ECUTCounter(tidlists).count_batch(candidates, block_ids),
+        model = FrequentItemsetModel(
+            minsup=self.minsup,
+            n_transactions=sum(tidlists.block_size(b) for b in block_ids),
+            selected_block_ids=sorted(block_ids),
         )
-        model = FrequentItemsetModel.from_mining_result(result, block_ids)
+        engine = ECUTCounter(tidlists)
+        self._expand(
+            model,
+            self._add_items(model, item_counts),
+            lambda candidates: engine.count_rows(candidates, block_ids),
+            MaintenanceStats(),
+        )
         if isinstance(self.counter, ECUTPlusCounter):
             for block in block_list:
                 if not self.context.pairs.has_block(block.block_id):
@@ -299,25 +306,11 @@ class BordersMaintainer(
         model.selected_block_ids.append(block.block_id)
         model.selected_block_ids.sort()
 
-        # Items never seen in a selected block before: their count over
-        # prior selected blocks is zero, so the block-local count is the
-        # global count.  Newly *frequent* items seed the update phase's
-        # candidate generation (they never sat in the border).
-        threshold = model.min_count
-        seeds: dict[Itemset, int] = {}
-        for item, count in self.context.tidlists.item_counts(block.block_id).items():
-            if item in model.items:
-                continue
-            model.items.add(item)
-            singleton: Itemset = (item,)
-            if count >= threshold:
-                model.frequent[singleton] = count
-                seeds[singleton] = count
-            else:
-                model.border[singleton] = count
-
+        seeds = self._add_items(
+            model, self.context.tidlists.item_counts(block.block_id)
+        )
         stats.detection_seconds = span.stop()
-        self._rebalance(model, stats, seeds=seeds)
+        self._rebalance(model, stats, seeds)
         self.diagnostics.record("borders.maintenance", stats)
         return model
 
@@ -341,15 +334,16 @@ class BordersMaintainer(
         self._detect(model, block.block_id, -1)
         model.n_transactions -= len(block)
         model.selected_block_ids.remove(block.block_id)
-
-        # Drop items that vanished entirely from the selection.
-        for itemset in list(model.border):
-            if len(itemset) == 1 and model.border[itemset] <= 0:
-                del model.border[itemset]
-                model.items.discard(itemset[0])
-
         stats.detection_seconds = span.stop()
         self._rebalance(model, stats)
+
+        # Drop items that vanished entirely from the selection, once
+        # demotion has moved the formerly frequent ones to the border.
+        if 1 in model.levels:
+            rows, counts, frequent = model.levels[1]
+            gone = ~frequent & (counts <= 0)
+            model.items.difference_update(rows[gone, 0].tolist())
+            model.set_level(1, rows[~gone], counts[~gone], frequent[~gone])
         self.diagnostics.record("borders.maintenance", stats)
         return model
 
@@ -386,93 +380,56 @@ class BordersMaintainer(
     # Shared detect/demote/promote/expand machinery
     # ------------------------------------------------------------------
 
+    def _add_items(
+        self, model: FrequentItemsetModel, item_counts: dict[int, int]
+    ) -> dict[int, np.ndarray]:
+        """Track the items new to the model; return the frequent ones.
+
+        An item never seen in a selected block before has count zero
+        over the prior selected blocks, so its count here is its global
+        count.  Newly *frequent* items seed the update phase's candidate
+        generation (they never sat in the border).
+        """
+        fresh = {i: c for i, c in item_counts.items() if i not in model.items}
+        model.items.update(fresh)
+        rows = item_matrix(fresh, 1)
+        counts = np.fromiter(fresh.values(), dtype=np.int64, count=len(fresh))
+        frequent = counts >= model.min_count
+        model.add_rows(1, rows, counts, frequent)
+        return {1: rows[frequent]}
+
     def _detect(self, model: FrequentItemsetModel, block_id: int, sign: int) -> None:
         """Shift every tracked count by ``sign`` times its support in
-        one block."""
-        counts = ECUTCounter(self.context.tidlists).count_batch(
-            [*model.frequent, *model.border], [block_id]
+        one block: one engine call over all the levels' rows."""
+        levels = sorted(model.levels.items())
+        counts = ECUTCounter(self.context.tidlists).count_rows(
+            pad_stack([level.rows for _, level in levels]), [block_id]
         )
-        for table in (model.frequent, model.border):
-            table.update({x: c + sign * counts[x] for x, c in table.items()})
+        bounds = np.cumsum([len(level.rows) for _, level in levels])
+        for (k, level), shift in zip(levels, np.split(counts, bounds)):
+            model.set_level(k, level.rows, level.counts + sign * shift, level.frequent)
 
     def _rebalance(
         self,
         model: FrequentItemsetModel,
         stats: MaintenanceStats,
-        seeds: dict[Itemset, int] | None = None,
+        seeds: dict[int, np.ndarray] | None = None,
     ) -> None:
         """Restore the L/NB⁻ invariants after counts or κ changed.
 
-        ``seeds`` are itemsets the caller already placed in ``L`` that
-        were not border members (newly observed frequent items); they
-        participate in candidate generation like border promotions do.
+        ``seeds`` are rows, by size, the caller already placed in ``L``
+        that were not border members (newly observed frequent items);
+        they join candidate generation like border promotions do.
         """
         span = self.telemetry.phase("borders.update").start()
-        threshold = model.min_count
+        stats.demotions += model.demote()
 
-        # Demote frequent itemsets that fell below the threshold.  A
-        # demoted itemset joins the border only while all its proper
-        # subsets stay frequent; border members whose subsets got
-        # demoted are deleted (paper footnote 6).
-        demoted = {
-            itemset: count
-            for itemset, count in model.frequent.items()
-            if count < threshold
-        }
-        for itemset in demoted:
-            del model.frequent[itemset]
-        stats.demotions += len(demoted)
-        if demoted:
-            # Every tracked itemset had its immediate subsets in L, and
-            # only demotion removes itemsets from L: one stays on the
-            # border iff none was demoted, so check those sharing an item.
-            demoted_items = {item for itemset in demoted for item in itemset}
-            lost = [
-                x
-                for x in (*model.border, *demoted)
-                if not demoted_items.isdisjoint(x)
-                and any(map(demoted.__contains__, combinations(x, len(x) - 1)))
-            ]
-            model.border.update(demoted)
-            for itemset in lost:
-                del model.border[itemset]
+        def count(candidates: np.ndarray) -> np.ndarray:
+            phase = "counting." + self.counter.name.lower().replace("-", "")
+            with self.telemetry.phase(phase):
+                return self.counter.count_rows(candidates, model.selected_block_ids)
 
-        # Promote border itemsets that crossed the threshold, then
-        # expand: generate fresh candidates around everything that newly
-        # became frequent, count them over the whole selected history
-        # with the pluggable counter, and repeat to closure.
-        promoted = {
-            itemset: count
-            for itemset, count in model.border.items()
-            if count >= threshold
-        }
-        newly_frequent: set[Itemset] = set(seeds or ())
-        while promoted or newly_frequent:
-            stats.promotions += len(promoted)
-            for itemset, count in promoted.items():
-                # First round promotes border members; later rounds
-                # promote freshly counted candidates that never sat in
-                # the border, hence pop with default.
-                model.border.pop(itemset, None)
-                model.frequent[itemset] = count
-            newly_frequent |= set(promoted)
-
-            stats.update_rounds += 1
-            candidates = self._new_candidates(newly_frequent, model)
-            if not candidates:
-                break
-            with self.telemetry.phase(self._counting_phase()):
-                counts = self.counter.count_batch(
-                    candidates, model.selected_block_ids
-                )
-            stats.candidates_counted += len(candidates)
-            promoted = {}
-            newly_frequent = set()
-            for candidate, count in counts.items():
-                if count >= threshold:
-                    promoted[candidate] = count
-                else:
-                    model.border[candidate] = count
+        self._expand(model, seeds or {}, count, stats)
         stats.update_seconds = span.stop()
         self.telemetry.increment("borders.promotions", stats.promotions)
         self.telemetry.increment("borders.demotions", stats.demotions)
@@ -480,37 +437,64 @@ class BordersMaintainer(
             "borders.candidates_counted", stats.candidates_counted
         )
 
-    def _counting_phase(self) -> str:
-        """Telemetry phase name of the configured support counter."""
-        return "counting." + self.counter.name.lower().replace("-", "")
+    def _expand(
+        self,
+        model: FrequentItemsetModel,
+        newly: dict[int, np.ndarray],
+        count: Callable[[np.ndarray], np.ndarray],
+        stats: MaintenanceStats,
+    ) -> None:
+        """Promote border itemsets that crossed the threshold, then grow
+        ``L`` to closure.
+
+        ``newly`` holds rows already in ``L`` that join the first round's
+        candidate generation.  Each round generates fresh candidates
+        around everything that just became frequent, counts them with
+        ``count``, and inserts them as border rows, so the next round
+        promotes those that qualify.
+        """
+        threshold = model.min_count
+        newly = {k: rows for k, rows in newly.items() if len(rows)}
+        while True:
+            for k, (rows, counts, frequent) in sorted(model.levels.items()):
+                rise = ~frequent & (counts >= threshold)
+                if rise.any():
+                    stats.promotions += int(rise.sum())
+                    newly[k] = np.concatenate([newly.get(k, rows[:0]), rows[rise]])
+                    model.set_level(k, rows, counts, frequent | rise)
+            if not newly:
+                break
+            stats.update_rounds += 1
+            candidates = self._new_candidates(newly, model)
+            if not candidates:
+                break
+            found = count(pad_stack(list(candidates.values())))
+            stats.candidates_counted += len(found)
+            bounds = np.cumsum([len(rows) for rows in candidates.values()])
+            for (k, rows), counts in zip(candidates.items(), np.split(found, bounds)):
+                model.add_rows(k, rows, counts, np.zeros(len(rows), dtype=bool))
+            newly = {}
 
     def _new_candidates(
-        self, newly_frequent: set[Itemset], model: FrequentItemsetModel
-    ) -> set[Itemset]:
-        """Fresh, untracked candidates with all subsets frequent.
+        self, newly: dict[int, np.ndarray], model: FrequentItemsetModel
+    ) -> dict[int, np.ndarray]:
+        """Fresh, untracked candidates with all subsets frequent, by size.
 
         A candidate not already tracked must have at least one immediate
         subset that *just* became frequent (otherwise it would have been
-        generated before), so it suffices to extend each newly frequent
-        itemset by one frequent item and prune.  When the promotion set
-        is huge this targeted pass costs more than regenerating from the
-        whole of ``L``, so fall back to the global prefix join then.
+        generated before).  So the newly frequent rows are joined with
+        the frequent ones (:func:`~repro.itemsets.rows.join_rows`), and
+        joined rows that are tracked already, or have a subset outside
+        ``L``, are dropped.
         """
-        frequent_set = set(model.frequent)
-        tracked = frequent_set | set(model.border)
-        frequent_items = [x[0] for x in frequent_set if len(x) == 1]
-        if len(newly_frequent) * len(frequent_items) > 4 * len(frequent_set) + 10_000:
-            return generate_candidates(frequent_set) - tracked
-        result: set[Itemset] = set()
-        for base in newly_frequent:
-            base_set = set(base)
-            for item in frequent_items:
-                if item in base_set:
-                    continue
-                candidate = tuple(sorted(base + (item,)))
-                if candidate in tracked or candidate in result:
-                    continue
-                subsets = combinations(candidate, len(candidate) - 1)
-                if all(map(frequent_set.__contains__, subsets)):
-                    result.add(candidate)
+        result: dict[int, np.ndarray] = {}
+        for k, base in sorted(newly.items()):
+            level = model.levels[k]
+            frequent = level.rows[level.frequent]
+            joined = join_rows(base, frequent)
+            if k + 1 in model.levels:
+                joined = joined[~isin_rows(joined, model.levels[k + 1].rows)]
+            joined = joined[subsets_in(joined, frequent).all(axis=1)]
+            if len(joined):
+                result[k + 1] = joined
         return result

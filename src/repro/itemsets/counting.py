@@ -65,6 +65,17 @@ class SupportCounter(ABC):
     ) -> dict[Itemset, int]:
         """Absolute support counts of ``itemsets`` over ``block_ids``."""
 
+    def count_rows(self, rows: np.ndarray, block_ids: Sequence[int]) -> np.ndarray:
+        """Support counts of an item matrix's rows over ``block_ids``.
+
+        ``rows`` holds one itemset per row, ``-1``-padded on the right;
+        the result is aligned with it.  This adapts to
+        :meth:`count_batch`; ECUT runs its engine here instead.
+        """
+        itemsets = [tuple(v for v in row if v >= 0) for row in rows.tolist()]
+        counts = self.count_batch(itemsets, block_ids)
+        return np.array([counts[x] for x in itemsets], dtype=np.int64)
+
 
 class PTScanCounter(SupportCounter):
     """Full-scan counting through a prefix tree (the BORDERS baseline).
@@ -288,24 +299,31 @@ class ECUTCounter(SupportCounter):
     def count_batch(
         self, itemsets: Collection[Itemset], block_ids: Sequence[int]
     ) -> dict[Itemset, int]:
+        """Tuple adapter of :meth:`count_rows`."""
+        targets = list(dict.fromkeys(itemsets))
+        if not targets:
+            return {}
+        flat = np.fromiter(chain.from_iterable(targets), dtype=np.int64)
+        supports = self.count_rows(_padded_rows(targets, flat), block_ids)
+        return dict(zip(targets, supports.tolist()))
+
+    def count_rows(self, rows: np.ndarray, block_ids: Sequence[int]) -> np.ndarray:
         """ECUT: per block, rarest-first rows of the dense engine.
 
         Orders every itemset's items rarest-first, so itemsets sharing
         rare items share the fetches of their lists.
         """
-        targets = list(dict.fromkeys(itemsets))
-        if not targets:
-            return {}
-        flat = np.fromiter(chain.from_iterable(targets), dtype=np.int64)
-        if not flat.size:
-            # Only empty itemsets: each counts every block in full.
-            total = sum(self._tidlists.block_size(b) for b in block_ids)
-            return dict.fromkeys(targets, total)
+        supports = np.zeros(len(rows), dtype=np.int64)
+        present = rows >= 0
         # The batch's distinct items, ascending, and each position's index.
-        items_array, positions = np.unique(flat, return_inverse=True)
+        items_array, positions = np.unique(rows[present], return_inverse=True)
+        if not items_array.size:
+            # Only empty itemsets: each counts every block in full.
+            supports += sum(self._tidlists.block_size(b) for b in block_ids)
+            return supports
         n_items = len(items_array)
-        T = _padded_rows(targets, positions.reshape(-1))
-        supports = np.zeros(len(targets), dtype=np.int64)
+        T = np.full(rows.shape, -1, dtype=np.int64)
+        T[present] = positions.reshape(-1)
         # One rank slot past the items: the -1 padding indexes it.
         rank = np.full(n_items + 1, _PAD, dtype=np.int64)
         item_arange = np.arange(n_items, dtype=np.int64)
@@ -328,7 +346,7 @@ class ECUTCounter(SupportCounter):
                 self._tidlists.block_size(block_id),
                 supports,
             )
-        return dict(zip(targets, supports.tolist()))
+        return supports
 
 
 class ECUTPlusCounter(SupportCounter):

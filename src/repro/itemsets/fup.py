@@ -201,8 +201,7 @@ class FUPMaintainer(IncrementalModelMaintainer[FrequentItemsetModel, Transaction
             current_level = next_level
             level += 1
 
-        model.frequent = new_frequent
-        model.border = {}
+        model.assign(new_frequent, {})
         model.n_transactions = new_total
         model.selected_block_ids.append(block.block_id)
         model.selected_block_ids.sort()

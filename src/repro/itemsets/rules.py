@@ -91,13 +91,14 @@ def generate_rules(
     if total == 0:
         return []
     rules: list[AssociationRule] = []
-    for itemset, count in model.frequent.items():
+    frequent = model.frequent
+    for itemset, count in frequent.items():
         if len(itemset) < 2:
             continue
         itemset_support = count / total
         for antecedent, consequent in _splits(itemset):
-            antecedent_count = model.frequent.get(antecedent)
-            consequent_count = model.frequent.get(consequent)
+            antecedent_count = frequent.get(antecedent)
+            consequent_count = frequent.get(consequent)
             if not antecedent_count or not consequent_count:
                 # Both sides are subsets of a frequent itemset, hence
                 # frequent; a miss means the model is inconsistent.

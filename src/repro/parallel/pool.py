@@ -33,16 +33,18 @@ docs/PERFORMANCE.md calls out.
 Executors are process-wide and shared across sessions (keyed by worker
 count): fork start-up is cheap but spawn is not, and benchmarks create
 many short-lived sessions.  :func:`shutdown_workers` tears them down
-explicitly when needed.
+explicitly when needed, and at interpreter exit in the process that
+started them.  ``multiprocessing`` and ``concurrent.futures`` are
+imported by the functions that start executors, so a serial session
+never loads them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import atexit
 import os
 import pickle
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.contracts import (
     SanitizerViolation,
@@ -54,6 +56,9 @@ from repro.contracts import (
     worker_scope,
 )
 from repro.storage.telemetry import Telemetry
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 WORKERS_ENV = "DEMON_WORKERS"
 
@@ -111,6 +116,8 @@ def resolve_start_method(method: str | None = None) -> str:
     unavailable method is a configuration error, not a silent
     substitution.
     """
+    import multiprocessing
+
     available = multiprocessing.get_all_start_methods()
     if method is None:
         return "fork" if "fork" in available else "spawn"
@@ -120,10 +127,6 @@ def resolve_start_method(method: str | None = None) -> str:
             f"(available: {', '.join(available)})"
         )
     return method
-
-
-def _mp_context(method: str | None = None) -> Any:
-    return multiprocessing.get_context(resolve_start_method(method))
 
 
 def _init_worker(counter: Any, armed: bool, sanitizers: bool) -> None:
@@ -159,7 +162,14 @@ def _shared_executor(
     key = (workers, method)
     executor = _EXECUTORS.get(key)
     if executor is None:
-        context = _mp_context(method)
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context(method)
+        # Shut down before interpreter teardown, where a collected
+        # executor's wake-up callback would find its pipe closed.
+        atexit.unregister(_shutdown_owned)
+        atexit.register(_shutdown_owned, os.getpid())
         executor = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=context,
@@ -179,6 +189,14 @@ def shutdown_workers() -> None:
     while _EXECUTORS:
         _, executor = _EXECUTORS.popitem()
         executor.shutdown(wait=True)
+
+
+def _shutdown_owned(pid: int) -> None:
+    """Exit hook: shut down the executors of the process that started
+    them.  A forked child inherits the hook with the handles, and the
+    workers are not its to join (DML021)."""
+    if os.getpid() == pid:
+        shutdown_workers()
 
 
 def task_telemetry() -> Telemetry:

@@ -51,7 +51,7 @@ import weakref
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Any, Generic, TypeVar
 
 import numpy as np
@@ -113,16 +113,18 @@ class BlockSchema:
         return cls(kind=payload["kind"], width=int(payload.get("width", 0)))
 
 
-def _is_int_record(record: Any) -> bool:
-    return isinstance(record, tuple) and all(type(v) is int for v in record)
+def _conforms(records: Sequence[Any], schema: BlockSchema) -> bool:
+    """Whether every record fits ``schema``: tuples of plain ``int``
+    (csr) or of ``width`` plain ``float`` (dense).
 
-
-def _is_float_record(record: Any, width: int) -> bool:
-    return (
-        isinstance(record, tuple)
-        and len(record) == width
-        and all(type(v) is float for v in record)
-    )
+    Each test is one C-level pass over the records or their values.
+    """
+    if not all(map(isinstance, records, repeat(tuple))):
+        return False
+    if schema.kind == KIND_DENSE and set(map(len, records)) != {schema.width}:
+        return False
+    value_type = int if schema.kind == KIND_CSR else float
+    return set(map(type, chain.from_iterable(records))) <= {value_type}
 
 
 def infer_schema(records: Sequence[Any]) -> BlockSchema:
@@ -133,12 +135,10 @@ def infer_schema(records: Sequence[Any]) -> BlockSchema:
     tuples, mixed or ragged floats, bools) raises :class:`SchemaError`.
     Empty blocks are vacuously CSR.
     """
-    if not records:
-        return BlockSchema(KIND_CSR)
-    if all(_is_int_record(r) for r in records):
+    if _conforms(records, BlockSchema(KIND_CSR)):
         return BlockSchema(KIND_CSR)
     width = len(records[0]) if isinstance(records[0], tuple) else 0
-    if width and all(_is_float_record(r, width) for r in records):
+    if width and _conforms(records, BlockSchema(KIND_DENSE, width=width)):
         return BlockSchema(KIND_DENSE, width=width)
     raise SchemaError(
         f"records such as {records[0]!r} fit neither the csr layout (ragged "
@@ -273,11 +273,13 @@ def _write_block_dir(
     """Stream ``records`` into the (existing, empty) directory ``path``."""
     chunks = _chunked(records, chunk_size)
     first = next(chunks, [])
+    # The first chunk conforms by inference; each later one is checked.
     schema = infer_schema(first)
+    rest = (_check_conforms(chunk, schema) for chunk in chunks)
     if schema.kind == KIND_CSR:
-        num_records, nbytes = _write_csr(path, first, chunks)
+        num_records, nbytes = _write_csr(path, first, rest)
     else:
-        num_records, nbytes = _write_dense(path, first, chunks, schema.width)
+        num_records, nbytes = _write_dense(path, first, rest, schema.width)
     meta = {
         "format": BLOCK_DIR_FORMAT,
         "schema": schema.to_dict(),
@@ -295,13 +297,12 @@ def _write_block_dir(
     )
 
 
-def _check_conforms(chunk: Sequence[Any], schema: BlockSchema) -> None:
-    if schema.kind == KIND_CSR:
-        bad = next((r for r in chunk if not _is_int_record(r)), None)
-    else:
-        bad = next((r for r in chunk if not _is_float_record(r, schema.width)), None)
-    if bad is not None:
-        raise SchemaError(
+def _check_conforms(chunk: list[T], schema: BlockSchema) -> list[T]:
+    """``chunk`` itself, once every record is known to fit ``schema``."""
+    if _conforms(chunk, schema):
+        return chunk
+    bad = next(r for r in chunk if not _conforms([r], schema))
+    raise SchemaError(
             f"record {bad!r} does not match the block's inferred "
             f"{schema.kind} schema; blocks must be type-homogeneous"
         )
@@ -314,12 +315,10 @@ def _write_csr(
     length_parts: list[np.ndarray] = []
     num_records = 0
     for chunk in _prepend(first, rest):
-        _check_conforms(chunk, BlockSchema(KIND_CSR))
         length_parts.append(
-            np.fromiter((len(r) for r in chunk), dtype=np.int64, count=len(chunk))
+            np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
         )
-        flat = [v for record in chunk for v in record]
-        value_parts.append(np.asarray(flat, dtype=np.int64))
+        value_parts.append(np.fromiter(chain.from_iterable(chunk), dtype=np.int64))
         num_records += len(chunk)
     values = (
         np.concatenate(value_parts)
@@ -343,9 +342,7 @@ def _write_dense(
 ) -> tuple[int, int]:
     columns: list[list[np.ndarray]] = [[] for _ in range(width)]
     num_records = 0
-    schema = BlockSchema(KIND_DENSE, width=width)
     for chunk in _prepend(first, rest):
-        _check_conforms(chunk, schema)
         arr = np.asarray(chunk, dtype=np.float64).reshape(len(chunk), width)
         for j in range(width):
             columns[j].append(arr[:, j])

@@ -414,3 +414,33 @@ class TestLifecycleHygiene:
         block = mine.ingest(1, [(1, 2), (3,)])
         assert block.num_records == 2
         mine.destroy()
+
+
+def test_serial_itemset_session_setup_imports_no_pool_or_clustering():
+    """An eager, serial BORDERS session is built without loading the
+    executor machinery or the clustering package (set-up time)."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "from repro.core.session import MiningSession\n"
+        "from repro.core.windows import MostRecentWindow\n"
+        "from repro.itemsets.borders import BordersMaintainer\n"
+        "from repro.scheduling import EagerScheduler\n"
+        "MiningSession(BordersMaintainer(0.05), span=MostRecentWindow(4),\n"
+        "              workers=1, scheduler=EagerScheduler())\n"
+        "loaded = [m for m in ('repro.clustering', 'concurrent.futures')\n"
+        "          if m in sys.modules]\n"
+        "print(','.join(loaded))\n"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+        check=True,
+    )
+    assert result.stdout.strip() == ""
