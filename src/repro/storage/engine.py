@@ -303,9 +303,9 @@ def _check_conforms(chunk: list[T], schema: BlockSchema) -> list[T]:
         return chunk
     bad = next(r for r in chunk if not _conforms([r], schema))
     raise SchemaError(
-            f"record {bad!r} does not match the block's inferred "
-            f"{schema.kind} schema; blocks must be type-homogeneous"
-        )
+        f"record {bad!r} does not match the block's inferred "
+        f"{schema.kind} schema; blocks must be type-homogeneous"
+    )
 
 
 def _write_csr(
